@@ -27,33 +27,13 @@ use std::time::Instant;
 
 use graphstream::VertexId;
 use serde::Serialize;
-use streamlink_bench::{flag_value, scale_from_args, ResultWriter, EXP_SEED};
+use streamlink_bench::{flag_value, scale_from_args, ResultWriter, Rng, EXP_SEED};
 use streamlink_core::journal::{self, FsyncPolicy, Journal, JournalEntry};
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{durable, SketchConfig, SketchStore, WireFormat};
 
 const KEEP: usize = 2;
 const RUNS: usize = 3;
-
-/// Deterministic xorshift64 PRNG so both formats see the same stream.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 #[derive(Serialize)]
 struct Row {

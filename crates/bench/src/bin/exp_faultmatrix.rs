@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use graphstream::VertexId;
 use serde::Serialize;
-use streamlink_bench::{flag_value, scale_from_args, ResultWriter, EXP_SEED};
+use streamlink_bench::{flag_value, scale_from_args, ResultWriter, Rng, EXP_SEED};
 use streamlink_core::chaos::{self, FaultKind, FaultPlan};
 use streamlink_core::journal::{self, FsyncPolicy, Journal, JournalEntry};
 use streamlink_core::snapshot::StoreSnapshot;
@@ -51,30 +51,6 @@ use streamlink_core::{durable, SketchConfig, SketchStore};
 /// Snapshot generations retained per run — two, so newest-generation
 /// corruption always has a fallback once two checkpoints have fired.
 const KEEP: usize = 2;
-
-/// Deterministic xorshift64 PRNG: the experiment must replay bit-for-bit
-/// from its seed.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-    fn chance(&mut self, one_in: u64) -> bool {
-        self.below(one_in) == 0
-    }
-}
 
 #[derive(Serialize)]
 struct Row {

@@ -1,24 +1,25 @@
 //! **E15 (extension figure)** — sustained mixed ingest/query workload on
-//! the concurrent store: throughput as the query share of the operation
-//! mix sweeps 0% → 90%.
+//! the store the server runs: throughput as the query share of the
+//! operation mix sweeps 0% → 90%.
 //!
 //! The paper's setting is *online*: estimates are queried while the
-//! stream is still arriving. This experiment drives the sharded
-//! [`ConcurrentSketchStore`] with writer and reader threads over a fixed
+//! stream is still arriving. This experiment drives one
+//! `RwLock<SketchStore>` — the store `streamlink serve` shares between
+//! its connection threads — with writer and reader threads over a fixed
 //! operation budget and reports sustained operations/second, plus the
 //! single-threaded `SketchStore` at the same mixes as the lock-free
 //! baseline.
 //!
 //! Shape to establish: query operations are cheaper than inserts at
 //! moderate k (no hashing of 2k values), so throughput *rises* with the
-//! query share; sharding overhead versus the single-threaded store is
-//! bounded (and pays off only with real parallelism — this container has
-//! one core, so the concurrent rows measure locking overhead honestly).
+//! query share; the `rwlock` rows show what the single store lock costs
+//! versus the unlocked store (writers serialize on it; readers share it).
 //!
 //! ```sh
 //! cargo run --release -p streamlink-bench --bin exp_mixed [-- --scale ...] [--k N]
 //! ```
 
+use std::sync::RwLock;
 use std::time::Instant;
 
 use datasets::Scale;
@@ -28,7 +29,6 @@ use serde::Serialize;
 use streamlink_bench::{
     flag_value, scale_from_args, table_header, table_row, ResultWriter, EXP_SEED,
 };
-use streamlink_core::concurrent::ConcurrentSketchStore;
 use streamlink_core::{SketchConfig, SketchStore};
 
 #[derive(Serialize)]
@@ -95,49 +95,51 @@ fn main() {
         ]);
         out.write_row(&row);
 
-        // Concurrent store: writers stream edges, readers fire queries.
-        let store =
-            ConcurrentSketchStore::new(SketchConfig::with_slots(k).seed(EXP_SEED), threads * 4);
+        // The serving store: writers stream edges, readers fire queries.
+        let store = RwLock::new(SketchStore::new(SketchConfig::with_slots(k).seed(EXP_SEED)));
         let queries_per_reader = (edges.len() as f64 * query_share / (1.0 - query_share).max(1e-9))
             as usize
             / threads.max(1);
         let t = Instant::now();
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let chunk = edges.len().div_ceil(threads);
             for part in edges.chunks(chunk) {
                 let store = &store;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for e in part {
-                        store.insert_edge(e.src, e.dst);
+                        store.write().expect("store lock").insert_edge(e.src, e.dst);
                     }
                 });
             }
             for reader in 0..threads {
                 let store = &store;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut sink = 0.0f64;
                     for q in 0..queries_per_reader {
                         let word = mix64((reader * 1_000_003 + q) as u64);
                         let a = VertexId(word % n);
                         let b = VertexId(mix64(word) % n);
-                        sink += store.jaccard(a, b).unwrap_or(0.0);
+                        sink += store
+                            .read()
+                            .expect("store lock")
+                            .jaccard(a, b)
+                            .unwrap_or(0.0);
                     }
                     std::hint::black_box(sink);
                 });
             }
-        })
-        .expect("workload threads panicked");
+        });
         let secs = t.elapsed().as_secs_f64();
         let total_ops = edges.len() + queries_per_reader * threads;
         let row = Row {
-            backend: "concurrent".into(),
+            backend: "rwlock".into(),
             query_share,
             operations: total_ops,
             seconds: secs,
             ops_per_sec: total_ops as f64 / secs,
         };
         table_row(&[
-            "concurrent".into(),
+            "rwlock".into(),
             format!("{:.0}%", query_share * 100.0),
             total_ops.to_string(),
             format!("{secs:.3}"),

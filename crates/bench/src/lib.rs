@@ -25,6 +25,41 @@ pub const K_SWEEP: [usize; 6] = [16, 32, 64, 128, 256, 512];
 /// Default seed for experiment determinism.
 pub const EXP_SEED: u64 = 0xE0;
 
+/// The seeded xorshift64 generator behind every chaos schedule (E20 fault
+/// matrix, E23 replication, E24 codec workload, E25 failover). Its
+/// sequence is part of each gate's contract: seed `n` must replay the
+/// same schedule on every build, so never change the arithmetic.
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    /// A generator for `seed` (any value; the state is never zero).
+    #[must_use]
+    pub fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1))
+    }
+
+    /// The next 64 pseudo-random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        x
+    }
+
+    /// A draw from `[0, n)` (`n = 0` is treated as 1).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n.max(1)
+    }
+
+    /// True with probability `1 / one_in`.
+    pub fn chance(&mut self, one_in: u64) -> bool {
+        self.below(one_in) == 0
+    }
+}
+
 /// Writes experiment rows as JSON lines under `results/`, creating the
 /// directory on first use, and echoes a human-readable table to stdout.
 pub struct ResultWriter {

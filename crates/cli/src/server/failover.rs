@@ -74,15 +74,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use streamlink_core::events::{self, ClusterEvent, EventKind};
+use streamlink_core::events::{self, escape_json, ClusterEvent, EventKind};
 use streamlink_core::failover::{ExchangeOutcome, FailoverNode, Role, Timeline};
 use streamlink_core::journal::{self, JournalEntry, LineCheck};
+use streamlink_core::loadgen::SplitMix64;
 use streamlink_core::{metrics, trace, PullOutcome, WireFormat};
 
 use super::protocol::parse_bounded;
 use super::replication::{
     adopt_config, id_seed, jittered, new_corr_id, next_backoff, pull_once, readonly_moved,
-    say_hello, sleep_poll, snapshot_round_with, take_corr, Lcg, PrimaryLink, ReplicaRuntime,
+    say_hello, sleep_poll, snapshot_round_with, take_corr, PrimaryLink, ReplicaRuntime,
 };
 use super::ServerState;
 
@@ -892,7 +893,7 @@ pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
         eprintln!("failover: cluster node without a replica runtime; loop disabled");
         return;
     };
-    let mut rng = Lcg::new(id_seed(&cluster.advertise));
+    let mut rng = SplitMix64::new(id_seed(&cluster.advertise));
     let tick = Duration::from_millis((cluster.lease_ms / 4).clamp(10, 1000));
     let backoff_floor = runtime.tuning.backoff_base.min(tick);
     let backoff_ceiling = runtime
@@ -1452,14 +1453,17 @@ impl NodeView {
 
     fn render_json(&self) -> String {
         if !self.reachable {
-            return format!("{{\"node\":{},\"reachable\":false}}", json_str(&self.node));
+            return format!(
+                "{{\"node\":\"{}\",\"reachable\":false}}",
+                escape_json(&self.node)
+            );
         }
         format!(
-            "{{\"node\":{},\"reachable\":true,\"role\":{},\"epoch\":{},\"data_epoch\":{},\
+            "{{\"node\":\"{}\",\"reachable\":true,\"role\":\"{}\",\"epoch\":{},\"data_epoch\":{},\
              \"applied_seq\":{},\"persisted_seq\":{},\"lag\":{},\"lag_slo\":{},\
-             \"writable\":{},\"believed\":{},\"healthy\":{}}}",
-            json_str(&self.node),
-            json_str(&self.role),
+             \"writable\":{},\"believed\":\"{}\",\"healthy\":{}}}",
+            escape_json(&self.node),
+            escape_json(&self.role),
             self.epoch,
             self.data_epoch,
             self.applied_seq,
@@ -1467,28 +1471,10 @@ impl NodeView {
             self.lag,
             self.lag_slo,
             self.writable,
-            json_str(&self.believed),
+            escape_json(&self.believed),
             self.healthy,
         )
     }
-}
-
-/// Minimal JSON string quoting (addresses and roles hold no exotic
-/// characters today, but quoting stays correct if one ever does).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Dials one member and asks for its `CLUSTER INFO` line. The
@@ -1568,12 +1554,12 @@ pub(super) fn clusterz_json(state: &ServerState) -> Option<(String, bool)> {
     }
     let divergent = !flags.is_empty();
     let node_rows: Vec<String> = views.iter().map(NodeView::render_json).collect();
-    let flag_rows: Vec<String> = flags.iter().map(|f| json_str(f)).collect();
+    let flag_rows: Vec<String> = flags.iter().map(|f| format!("\"{f}\"")).collect();
     let json = format!(
-        "{{\"schema\":\"streamlink.clusterz.v1\",\"observer\":{},\"corr_id\":{corr},\
+        "{{\"schema\":\"streamlink.clusterz.v1\",\"observer\":\"{}\",\"corr_id\":{corr},\
          \"epoch_min\":{epoch_min},\"epoch_max\":{epoch_max},\"primaries\":{primaries},\
          \"unreachable\":{unreachable},\"divergent\":{divergent},\"flags\":[{}],\"nodes\":[{}]}}",
-        json_str(cluster.advertise()),
+        escape_json(cluster.advertise()),
         flag_rows.join(","),
         node_rows.join(","),
     );

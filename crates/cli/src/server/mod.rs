@@ -678,3 +678,117 @@ fn metrics_log_line(state: &ServerState) -> String {
         audit.cn_rel_err_p95,
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+    use streamlink_core::journal::FsyncPolicy;
+    use streamlink_core::{SketchConfig, WireFormat};
+
+    /// A durable server over a fresh data directory, auditor on (the
+    /// default config), exactly as `serve --data-dir` builds it.
+    fn durable_state(tag: &str) -> (ServerState, PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("streamlink-server-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (persist, recovery) = persistence::open(
+            &dir,
+            SketchConfig::with_slots(16).seed(5),
+            FsyncPolicy::Never,
+            WireFormat::TextV2,
+        )
+        .unwrap();
+        let state = ServerState::with_persistence(
+            recovery.store,
+            persist,
+            recovery.snapshot_seq,
+            ServerConfig::default(),
+        );
+        assert!(state.auditor().is_some(), "default config audits");
+        (state, dir)
+    }
+
+    #[test]
+    fn writer_bursts_on_a_hot_vertex_lose_no_updates() {
+        // Worst-case write contention: every edge touches vertex 0, so
+        // every insert contends for the store write lock, the journal
+        // and the auditor. Degree, edge count and the WAL seqs handed
+        // out must come out exact — a lost update would silently corrupt
+        // degree-based estimators, a reused seq would make replay skip
+        // an acked edge.
+        const WRITERS: u64 = 8;
+        const PER_WRITER: u64 = 500;
+        let hot = VertexId(0);
+        let (state, dir) = durable_state("hot-writers");
+        let mut seqs: Vec<u64> = thread::scope(|scope| {
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|t| {
+                    let state = &state;
+                    scope.spawn(move || {
+                        (0..PER_WRITER)
+                            // Distinct partner per insert: degree counts edges.
+                            .map(|i| state.insert_edge(hot, VertexId(1 + t * PER_WRITER + i)))
+                            .collect::<io::Result<Vec<u64>>>()
+                            .unwrap()
+                    })
+                })
+                .collect();
+            writers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        seqs.sort_unstable();
+        assert_eq!(seqs, (1..=WRITERS * PER_WRITER).collect::<Vec<u64>>());
+        let store = state.read_store();
+        assert_eq!(store.edges_processed(), WRITERS * PER_WRITER);
+        assert_eq!(store.degree(hot), WRITERS * PER_WRITER);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn readers_observe_monotone_degrees_during_writer_bursts() {
+        // Degree counters only ever increment, so any single reader must
+        // observe a non-decreasing sequence even while writers burst —
+        // a dip would mean a reader saw a torn or rolled-back update.
+        const TOTAL: u64 = 2_000;
+        let hot = VertexId(7);
+        let (state, dir) = durable_state("monotone-readers");
+        thread::scope(|scope| {
+            for t in 0..4u64 {
+                let state = &state;
+                scope.spawn(move || {
+                    for i in 0..TOTAL / 4 {
+                        state
+                            .insert_edge(hot, VertexId(1_000 + t * (TOTAL / 4) + i))
+                            .unwrap();
+                    }
+                });
+            }
+            for _ in 0..3 {
+                let state = &state;
+                scope.spawn(move || {
+                    let mut prev = 0u64;
+                    loop {
+                        let store = state.read_store();
+                        let d = store.degree(hot);
+                        assert!(d >= prev, "degree went backwards: {prev} -> {d}");
+                        // Reads stay sane mid-burst, not just at the end.
+                        if let Some(j) = store.jaccard(hot, VertexId(1_000)) {
+                            assert!((0.0..=1.0).contains(&j), "jaccard out of range: {j}");
+                        }
+                        drop(store);
+                        if d == TOTAL {
+                            break;
+                        }
+                        prev = d;
+                    }
+                });
+            }
+        });
+        assert_eq!(state.read_store().degree(hot), TOTAL);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -96,12 +96,13 @@ pub struct CheckpointReport {
     pub segments_pruned: usize,
 }
 
-/// Takes one checkpoint: capture + journal rotation under the locks
-/// (brief), then — without the store lock — atomic generation write,
-/// retention trim to `snapshot_keep`, and a journal prune back to the
-/// oldest retained generation (so every retained generation can still
-/// replay forward; see [`streamlink_core::checkpoint`] for the ordering
-/// argument).
+/// Takes one checkpoint: capture + journal rotation under the store
+/// lock and the persist mutex (brief), then — holding neither —
+/// [`durable::write_generation`], and finally a journal prune back to
+/// the oldest retained generation under the persist mutex alone (so
+/// every retained generation can still replay forward; see
+/// [`streamlink_core::checkpoint`] for the ordering argument). The
+/// whole attempt is counted by [`durable::metered`].
 ///
 /// Safe against a crash at any point: the snapshot write is atomic, and
 /// trimming/pruning only run after it returns.
@@ -121,9 +122,7 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
         p.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    let metrics = streamlink_core::metrics::global();
-    let start = std::time::Instant::now();
-    let run = || -> io::Result<CheckpointReport> {
+    durable::metered(|| {
         let (snapshot, wal_seq, dir, format, faults) = {
             let store = state.read_store();
             let mut persist = lock(persist);
@@ -138,43 +137,21 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
                 persist.journal.faults().cloned(),
             )
         };
-        if let Some(plan) = &faults {
-            plan.next_snapshot()?;
-        }
-        snapshot.write_atomic_as(&durable::generation_path(&dir, wal_seq), format)?;
-        match fs::remove_file(durable::snapshot_path(&dir)) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        let mut generations = durable::list_generations(&dir)?;
-        let keep = state.config().snapshot_keep.max(1);
-        while generations.len() > keep {
-            let (_, path) = generations.remove(0);
-            fs::remove_file(&path)?;
-        }
-        metrics
-            .snapshot_generations_kept
-            .set(generations.len() as u64);
-        let oldest_retained = generations.first().map_or(wal_seq, |(seq, _)| *seq);
+        let oldest_retained = durable::write_generation(
+            &snapshot,
+            wal_seq,
+            &dir,
+            format,
+            faults.as_deref(),
+            state.config().snapshot_keep,
+        )?;
         let segments_pruned = lock(persist).journal.prune_below(oldest_retained)?;
         state.set_last_snapshot_seq(snapshot.edges_processed);
         Ok(CheckpointReport {
             snapshot_seq: wal_seq,
             segments_pruned,
         })
-    };
-    let result = run();
-    match &result {
-        Ok(_) => {
-            metrics.checkpoints.incr();
-            metrics.checkpoint_latency.observe(start);
-        }
-        Err(_) => {
-            metrics.checkpoint_failures.incr();
-        }
-    }
-    result
+    })
 }
 
 /// The checkpointer thread body: poll until shutdown, checkpointing

@@ -70,6 +70,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use streamlink_core::journal::{self, JournalEntry, LineCheck};
+use streamlink_core::loadgen::SplitMix64;
 use streamlink_core::merge::merge_join;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{
@@ -707,7 +708,7 @@ fn parse_backend(name: &str) -> Option<HasherBackend> {
 pub fn replica_loop(state: &Arc<ServerState>, runtime: &Arc<ReplicaRuntime>) {
     // Cheap deterministic jitter source, seeded per replica id so a
     // fleet restarting together does not reconnect in lockstep.
-    let mut rng = Lcg::new(id_seed(&runtime.id));
+    let mut rng = SplitMix64::new(id_seed(&runtime.id));
     let mut backoff = runtime.tuning.backoff_base;
     while !state.shutdown_requested() {
         match run_session(state, runtime, &mut backoff) {
@@ -1258,29 +1259,15 @@ pub(super) fn sleep_poll(state: &ServerState, total: Duration) {
     }
 }
 
-/// Minimal multiplicative congruential generator for backoff jitter —
-/// quality does not matter here, only cheap decorrelation.
-pub(super) struct Lcg(u64);
-
-impl Lcg {
-    pub(super) fn new(seed: u64) -> Self {
-        Lcg(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-}
-
 /// `base` scaled to a uniform value in `[0.75 * base, 1.25 * base)`.
-pub(super) fn jittered(rng: &mut Lcg, base: Duration) -> Duration {
+pub(super) fn jittered(rng: &mut SplitMix64, base: Duration) -> Duration {
     let nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
     let spread = nanos / 2;
-    let offset = if spread == 0 { 0 } else { rng.next() % spread };
+    let offset = if spread == 0 {
+        0
+    } else {
+        rng.next_u64() % spread
+    };
     Duration::from_nanos(nanos - spread / 2 + offset)
 }
 
@@ -1594,7 +1581,7 @@ mod tests {
         assert_eq!(seen, vec![200, 400, 800, 1600, 3200, 5000, 5000, 5000]);
         // Jitter keeps every step inside [0.75x, 1.25x), so the whole
         // schedule is bounded by 1.25 * ceiling.
-        let mut rng = Lcg::new(3);
+        let mut rng = SplitMix64::new(3);
         for &ms in &seen {
             let d = jittered(&mut rng, Duration::from_millis(ms));
             assert!(d >= Duration::from_millis(ms * 3 / 4), "{d:?}");
@@ -1649,7 +1636,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_within_a_quarter_of_base() {
-        let mut rng = Lcg::new(7);
+        let mut rng = SplitMix64::new(7);
         let base = Duration::from_millis(400);
         for _ in 0..200 {
             let d = jittered(&mut rng, base);

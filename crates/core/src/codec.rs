@@ -51,10 +51,9 @@ use graphstream::VertexId;
 use hashkit::crc32;
 
 use crate::config::{HasherBackend, SketchConfig};
-use crate::hll::HyperLogLog;
 use crate::journal::JournalEntry;
 use crate::sketch::{Slot, VertexSketch};
-use crate::snapshot::{self, RobustSnapshot, RobustVertexEntry, StoreSnapshot, VertexEntry};
+use crate::snapshot::{self, StoreSnapshot, VertexEntry};
 
 /// The 4-byte magic opening every binary v3 envelope.
 pub const BINARY_MAGIC: [u8; 4] = *b"SLB3";
@@ -75,8 +74,8 @@ pub const MAX_SLOT_COUNT: u64 = 1 << 20;
 pub const MODE_WAL_ENTRY: u8 = 0x01;
 /// Envelope mode byte: a [`StoreSnapshot`] body.
 pub const MODE_STORE_SNAPSHOT: u8 = 0x02;
-/// Envelope mode byte: a [`RobustSnapshot`] body.
-pub const MODE_ROBUST_SNAPSHOT: u8 = 0x03;
+// Mode byte 0x03 is retired (robust-store snapshots). Never reuse it:
+// a file written with it must never decode as something else.
 /// Envelope mode byte: a protocol frame whose body is UTF-8 command or
 /// response text (the negotiated binary wire mode).
 pub const MODE_TEXT_FRAME: u8 = 0x04;
@@ -769,73 +768,6 @@ fn decode_store_snapshot_body(body: &[u8]) -> Result<StoreSnapshot, CodecError> 
     })
 }
 
-fn encode_robust_snapshot_body(snap: &RobustSnapshot) -> Result<Vec<u8>, CodecError> {
-    if !(4..=16).contains(&snap.hll_precision) {
-        return Err(CodecError::Malformed("HLL precision out of range"));
-    }
-    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 32);
-    encode_config(&mut body, &snap.config)?;
-    body.push(snap.hll_precision);
-    write_varint(&mut body, snap.edges_processed);
-    write_varint(&mut body, snap.vertices.len() as u64);
-    let mut prev = 0u64;
-    for (i, entry) in snap.vertices.iter().enumerate() {
-        let delta = if i == 0 {
-            entry.vertex.0
-        } else {
-            entry.vertex.0.wrapping_sub(prev)
-        };
-        write_varint(&mut body, delta);
-        prev = entry.vertex.0;
-    }
-    for entry in &snap.vertices {
-        encode_sketch(&mut body, &entry.sketch);
-        body.extend_from_slice(entry.degree.registers());
-    }
-    Ok(body)
-}
-
-fn decode_robust_snapshot_body(body: &[u8]) -> Result<RobustSnapshot, CodecError> {
-    let mut pos = 0;
-    let config = decode_config(body, &mut pos)?;
-    let Some(&hll_precision) = body.get(pos) else {
-        return Err(CodecError::Truncated);
-    };
-    pos += 1;
-    if !(4..=16).contains(&hll_precision) {
-        return Err(CodecError::Malformed("HLL precision out of range"));
-    }
-    let registers = 1usize << hll_precision;
-    let edges_processed = read_varint(body, &mut pos)?;
-    let count = read_vertex_count(body, &mut pos)?;
-    let ids = decode_vertex_column(body, &mut pos, count)?;
-    let mut vertices = Vec::with_capacity(count);
-    for vertex in ids {
-        let sketch = decode_sketch(body, &mut pos, config.slots())?;
-        let end = pos
-            .checked_add(registers)
-            .filter(|&e| e <= body.len())
-            .ok_or(CodecError::Truncated)?;
-        let degree = HyperLogLog::from_parts(hll_precision, body[pos..end].to_vec())
-            .ok_or(CodecError::Malformed("invalid HLL registers"))?;
-        pos = end;
-        vertices.push(RobustVertexEntry {
-            vertex,
-            sketch,
-            degree,
-        });
-    }
-    if pos != body.len() {
-        return Err(CodecError::Malformed("trailing bytes after snapshot"));
-    }
-    Ok(RobustSnapshot {
-        config,
-        hll_precision,
-        edges_processed,
-        vertices,
-    })
-}
-
 // ---------------------------------------------------------------------
 // The Codec trait and its two implementations
 // ---------------------------------------------------------------------
@@ -863,18 +795,6 @@ pub trait Codec {
     /// Fails closed on any framing or body defect.
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot>;
 
-    /// Encodes a full robust-store snapshot file.
-    ///
-    /// # Errors
-    /// Fails if the snapshot cannot be rendered.
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>>;
-
-    /// Decodes and verifies a full robust-store snapshot file.
-    ///
-    /// # Errors
-    /// Fails closed on any framing or body defect.
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot>;
-
     /// Encodes one WAL record ready to append to a segment (the text
     /// codec's record includes its newline terminator).
     fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8>;
@@ -898,18 +818,6 @@ impl Codec for TextV2 {
     }
 
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
-        let (payload, _) = snapshot::verify_text(bytes)?;
-        serde_json::from_str(&payload)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>> {
-        let json = serde_json::to_string(snap)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        Ok(snapshot::frame_v2(&json).into_bytes())
-    }
-
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot> {
         let (payload, _) = snapshot::verify_text(bytes)?;
         serde_json::from_str(&payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
@@ -953,16 +861,6 @@ impl Codec for BinaryV3 {
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
         let body = Self::decode_expecting(bytes, MODE_STORE_SNAPSHOT)?;
         Ok(decode_store_snapshot_body(body)?)
-    }
-
-    fn encode_robust_snapshot(&self, snap: &RobustSnapshot) -> io::Result<Vec<u8>> {
-        let body = encode_robust_snapshot_body(snap)?;
-        Ok(encode_envelope(MODE_ROBUST_SNAPSHOT, &body))
-    }
-
-    fn decode_robust_snapshot(&self, bytes: &[u8]) -> io::Result<RobustSnapshot> {
-        let body = Self::decode_expecting(bytes, MODE_ROBUST_SNAPSHOT)?;
-        Ok(decode_robust_snapshot_body(body)?)
     }
 
     fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8> {
@@ -1016,7 +914,6 @@ impl fmt::Display for WireFormat {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::robust::RobustStore;
     use crate::store::SketchStore;
     use graphstream::{BarabasiAlbert, EdgeStream};
     use proptest::prelude::*;
@@ -1297,21 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn robust_snapshot_binary_roundtrip() {
-        let mut s = RobustStore::new(SketchConfig::with_slots(16).seed(3), 8);
-        s.insert_stream(BarabasiAlbert::new(80, 2, 4).edges());
-        let snap = RobustSnapshot::capture(&s);
-        let v3 = BinaryV3.encode_robust_snapshot(&snap).unwrap();
-        assert_eq!(BinaryV3.decode_robust_snapshot(&v3).unwrap(), snap);
-        assert_eq!(
-            TextV2
-                .decode_robust_snapshot(&TextV2.encode_robust_snapshot(&snap).unwrap())
-                .unwrap(),
-            snap
-        );
-    }
-
-    #[test]
     fn empty_snapshot_roundtrips() {
         let snap = StoreSnapshot::capture(&SketchStore::new(SketchConfig::with_slots(8)));
         let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
@@ -1320,9 +1202,10 @@ mod tests {
 
     #[test]
     fn snapshot_decode_rejects_wrong_mode() {
-        let snap = populated_snapshot();
-        let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
-        assert!(BinaryV3.decode_robust_snapshot(&v3).is_err());
+        let wal = encode_wal_entry(&entry(3));
+        let err = BinaryV3.decode_store_snapshot(&wal).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("mode 0x01"), "{err}");
     }
 
     #[test]

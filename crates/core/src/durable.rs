@@ -34,6 +34,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::chaos::FaultPlan;
+use crate::codec::WireFormat;
 use crate::config::SketchConfig;
 use crate::journal::{self, Journal, ReplayReport};
 use crate::snapshot::StoreSnapshot;
@@ -201,10 +203,9 @@ pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
 /// Order matters: the snapshot must be durable before any journal entry
 /// covering the same edges is deleted. Callers capture `snapshot` and
 /// rotate `journal` to `wal_seq + 1` under the store lock, then call this
-/// without it. The legacy `snapshot.json`, if present, is removed once a
-/// generation exists — it is strictly older than the generation just
-/// written, and leaving it would let a future fallback resurrect
-/// pre-pruning state as if it were current.
+/// without it. A caller that keeps its journal behind a lock of its own
+/// runs the same steps as [`metered`] around [`write_generation`] and
+/// [`Journal::prune_below`], so the lock is held only for the prune.
 ///
 /// # Errors
 /// Fails on IO errors — real or injected via the journal's
@@ -218,10 +219,27 @@ pub fn checkpoint(
     journal: &mut Journal,
     keep: usize,
 ) -> io::Result<usize> {
-    let metrics = crate::metrics::global();
     let _t = crate::trace::op("checkpoint");
+    metered(|| {
+        let faults = journal.faults().map(|plan| &**plan);
+        // Snapshots follow the journal's format choice, so one `--format`
+        // flag governs the whole data directory.
+        let oldest_retained =
+            write_generation(snapshot, wal_seq, dir, journal.format(), faults, keep)?;
+        journal.prune_below(oldest_retained)
+    })
+}
+
+/// Runs one checkpoint attempt and records it: `checkpoint.count` and
+/// the checkpoint latency histogram on success, `checkpoint.failures`
+/// on error — exactly one of the two counters moves per call.
+///
+/// # Errors
+/// Whatever `attempt` returns.
+pub fn metered<T>(attempt: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+    let metrics = crate::metrics::global();
     let start = std::time::Instant::now();
-    let result = checkpoint_inner(snapshot, wal_seq, dir, journal, keep);
+    let result = attempt();
     match &result {
         Ok(_) => {
             metrics.checkpoints.incr();
@@ -234,19 +252,32 @@ pub fn checkpoint(
     result
 }
 
-fn checkpoint_inner(
+/// The part of a checkpoint that needs no journal: consult the fault
+/// plan, write `snapshot` atomically as generation `wal_seq` in `format`,
+/// remove the legacy `snapshot.json`, trim retention to the newest `keep`
+/// generations and publish the generations-kept gauge. Returns the seq
+/// of the oldest retained generation — the point the journal may be
+/// pruned back to with [`Journal::prune_below`].
+///
+/// The legacy `snapshot.json`, if present, is strictly older than the
+/// generation just written; leaving it would let a future fallback
+/// resurrect pre-pruning state as if it were current.
+///
+/// # Errors
+/// Fails on IO errors, or when `faults` schedules a failed snapshot
+/// write; nothing is trimmed after a failed write.
+pub fn write_generation(
     snapshot: &StoreSnapshot,
     wal_seq: u64,
     dir: &Path,
-    journal: &mut Journal,
+    format: WireFormat,
+    faults: Option<&FaultPlan>,
     keep: usize,
-) -> io::Result<usize> {
-    if let Some(plan) = journal.faults() {
+) -> io::Result<u64> {
+    if let Some(plan) = faults {
         plan.next_snapshot()?;
     }
-    // Snapshots follow the journal's format choice, so one `--format`
-    // flag governs the whole data directory.
-    snapshot.write_atomic_as(&generation_path(dir, wal_seq), journal.format())?;
+    snapshot.write_atomic_as(&generation_path(dir, wal_seq), format)?;
     match fs::remove_file(snapshot_path(dir)) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -261,14 +292,13 @@ fn checkpoint_inner(
     crate::metrics::global()
         .snapshot_generations_kept
         .set(generations.len() as u64);
-    let oldest_retained = generations.first().map_or(wal_seq, |(seq, _)| *seq);
-    journal.prune_below(oldest_retained)
+    Ok(generations.first().map_or(wal_seq, |(seq, _)| *seq))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chaos::{self, FaultPlan};
+    use crate::chaos;
     use crate::journal::{FsyncPolicy, JournalEntry, QUARANTINE_DIR};
     use graphstream::{BarabasiAlbert, EdgeStream, VertexId};
     use std::path::PathBuf;

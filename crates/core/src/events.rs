@@ -198,7 +198,13 @@ impl ClusterEvent {
     }
 }
 
-fn escape_json(s: &str) -> String {
+/// Escapes `s` for use inside a JSON string literal (the quotes are the
+/// caller's): `"` and `\` get a backslash, every control character
+/// becomes `\u00XX`, everything else passes through. Shared by the
+/// `events.v1` journal, the `loadreport.v1` artifact and `/clusterz`, so
+/// all three escape free-form text the same way.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -211,9 +217,17 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Extracts `"key":"value"` from a single-line JSON object, honoring
-/// backslash escapes in the value.
+/// Extracts `"key":"value"` from a single-line JSON object, decoding
+/// the standard JSON escapes in the value (surrogate pairs included).
+/// An invalid escape makes the field unreadable.
 fn json_str_field(line: &str, key: &str) -> Option<String> {
+    fn hex4(chars: &mut std::str::Chars<'_>) -> Option<u32> {
+        let hex: String = chars.by_ref().take(4).collect();
+        if hex.len() != 4 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        u32::from_str_radix(&hex, 16).ok()
+    }
     let tag = format!("\"{key}\":\"");
     let start = line.find(&tag)? + tag.len();
     let mut out = String::new();
@@ -221,16 +235,30 @@ fn json_str_field(line: &str, key: &str) -> Option<String> {
     loop {
         match chars.next()? {
             '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
+            '\\' => out.push(match chars.next()? {
+                c @ ('"' | '\\' | '/') => c,
+                'n' => '\n',
+                't' => '\t',
+                'r' => '\r',
+                'b' => '\u{8}',
+                'f' => '\u{c}',
                 'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
+                    let mut code = hex4(&mut chars)?;
+                    if (0xD800..0xDC00).contains(&code) {
+                        // A high surrogate: the low half must follow.
+                        if (chars.next()?, chars.next()?) != ('\\', 'u') {
+                            return None;
+                        }
+                        let low = hex4(&mut chars)?;
+                        if !(0xDC00..0xE000).contains(&low) {
+                            return None;
+                        }
+                        code = 0x1_0000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    }
+                    char::from_u32(code)?
                 }
-                other => out.push(other),
-            },
+                _ => return None,
+            }),
             c => out.push(c),
         }
     }
@@ -518,6 +546,35 @@ mod tests {
         let line = bare.render_line();
         assert!(line.contains("\"corr_id\":null"), "{line}");
         assert_eq!(ClusterEvent::parse_line(&line), Some(bare));
+
+        let mut controls = ev("n\t1", 2, 5, EventKind::Fence);
+        controls.detail = "\n\t\r\u{1}\"\\".to_string();
+        let line = controls.render_line();
+        assert!(!line.contains('\n') && !line.contains('\t'), "{line}");
+        assert_eq!(ClusterEvent::parse_line(&line), Some(controls));
+    }
+
+    #[test]
+    fn parse_decodes_standard_escapes_from_other_writers() {
+        // Short escapes and a surrogate pair, as serializers other than
+        // `render_line` write them.
+        let line = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"node\":\"n\\/1\",\"epoch\":1,\"applied_seq\":0,\
+             \"tick_ms\":0,\"kind\":\"fence\",\
+             \"detail\":\"a\\nb\\tc\\rd\\be\\ff \\ud83d\\ude00\",\"corr_id\":null}}"
+        );
+        let e = ClusterEvent::parse_line(&line).expect("valid JSON line");
+        assert_eq!(e.node_id, "n/1");
+        assert_eq!(e.detail, "a\nb\tc\rd\u{8}e\u{c}f \u{1F600}");
+        let parsed: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
+        assert_eq!(
+            parsed.get("detail").and_then(serde_json::Value::as_str),
+            Some(e.detail.as_str())
+        );
+        for bad in ["\\x41", "\\u12", "\\ud83d", "\\ud83d\\u0041"] {
+            let line = line.replace("\\ud83d\\ude00", bad);
+            assert_eq!(ClusterEvent::parse_line(&line), None, "{bad}");
+        }
     }
 
     #[test]

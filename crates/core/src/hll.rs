@@ -109,26 +109,6 @@ impl HyperLogLog {
         self.precision
     }
 
-    /// The raw registers (the binary codec's encode path).
-    #[must_use]
-    pub(crate) fn registers(&self) -> &[u8] {
-        &self.registers
-    }
-
-    /// Rebuilds a sketch from raw parts, or `None` if the precision is
-    /// outside `4..=16` or the register count is not `2^precision` (the
-    /// binary codec's decode path — corrupt inputs must not panic).
-    #[must_use]
-    pub(crate) fn from_parts(precision: u8, registers: Vec<u8>) -> Option<Self> {
-        if !(4..=16).contains(&precision) || registers.len() != 1usize << precision {
-            return None;
-        }
-        Some(Self {
-            precision,
-            registers,
-        })
-    }
-
     /// Resident bytes (registers only).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {

