@@ -15,6 +15,8 @@ pub mod top;
 
 use datasets::{Scale, SimulatedDataset};
 use graphstream::{io, MemoryStream, StreamError};
+use streamlink_core::snapshot::StoreSnapshot;
+use streamlink_core::SketchStore;
 
 use crate::args::Flags;
 
@@ -69,4 +71,12 @@ pub fn load_stream(path: &str) -> Result<MemoryStream, String> {
         io::read_csv(bytes.as_slice())
     };
     result.map_err(|e: StreamError| format!("cannot parse {path}: {e}"))
+}
+
+/// Loads the store a snapshot file holds, in any format `serve` or
+/// `ingest` writes: a v3 generation, a framed v2 file or bare v1 JSON.
+pub fn load_snapshot_store(path: &str) -> Result<SketchStore, String> {
+    StoreSnapshot::read_from(std::path::Path::new(path))
+        .map(StoreSnapshot::restore)
+        .map_err(|e| format!("cannot load snapshot {path}: {e}"))
 }

@@ -21,10 +21,10 @@
 //! --slots N --seed S          sketch shape for a fresh store  (256, 0)
 //! --fsync always|interval|never   journal durability      (interval)
 //! --format v2|v3              storage & wire format for NEW records:
-//!                             v2 text, v3 checksummed binary; both
-//!                             formats are always readable on recovery;
-//!                             v3 replicas negotiate binary WAL
-//!                             shipping                          (v2)
+//!                             v3 checksummed binary, v2 text (the
+//!                             rollback); both formats are always
+//!                             readable on recovery; v3 replicas
+//!                             negotiate binary WAL shipping     (v3)
 //! --max-conns N               connection cap, shed `ERR busy`  (1024)
 //! --idle-timeout-ms MS        disconnect quiet clients        (30000)
 //! --drain-secs S              shutdown drain deadline             (5)
@@ -94,7 +94,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use streamlink_core::journal::FsyncPolicy;
-use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{SketchConfig, SketchStore, WireFormat};
 
 use crate::args::Flags;
@@ -188,7 +187,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("bad --fsync {raw:?}, expected always|interval|never"))?,
     };
     let format = match flags.get("format") {
-        None => WireFormat::TextV2,
+        None => WireFormat::default(),
         Some(raw) => {
             WireFormat::parse(raw).ok_or_else(|| format!("bad --format {raw:?}, expected v2|v3"))?
         }
@@ -404,11 +403,7 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     config,
                 )
             }
-            (None, Some(path)) => {
-                let snap = StoreSnapshot::read_from(Path::new(path))
-                    .map_err(|e| format!("cannot load snapshot {path}: {e}"))?;
-                ServerState::in_memory(snap.restore(), config)
-            }
+            (None, Some(path)) => ServerState::in_memory(super::load_snapshot_store(path)?, config),
             (None, None) => ServerState::in_memory(SketchStore::new(sketch_config), config),
         }
     };

@@ -87,8 +87,8 @@
 //! [`streamlink_core::codec`] envelope: a `TEXT_FRAME` carrying the
 //! usual response text, except `REPL PULL`, whose batch ships as a
 //! single `WAL_BATCH` record (CRC-covered, seqs delta-encoded), and
-//! `REPL SNAPSHOT`, whose body ships as one compressed
-//! `SNAPSHOT_FRAME` record. Because
+//! `REPL SNAPSHOT`, whose v3 store-snapshot envelope ships inside one
+//! compressed `SNAPSHOT_FRAME` record. Because
 //! frames are length-prefixed, clients can pipeline requests freely —
 //! multi-line responses like `METRICS` arrive as one frame instead of a
 //! parse-until-`OK` stream. The switch is per-connection and one-way;
@@ -1329,7 +1329,7 @@ mod tests {
 
     #[test]
     fn framed_repl_snapshot_ships_a_compressed_frame() {
-        use streamlink_core::codec;
+        use streamlink_core::codec::{self, Codec as _};
         let s = state();
         let (frame, closing) = handle_command_framed(&s, "REPL SNAPSHOT");
         assert!(!closing);
@@ -1337,8 +1337,9 @@ mod tests {
         assert_eq!(env.mode, codec::MODE_SNAPSHOT_FRAME);
         let (seq, body) = codec::decode_snapshot_frame_body(env.body).unwrap();
         assert_eq!(seq, 40, "fixture pre-seeds 40 edges");
-        let json = String::from_utf8(body).unwrap();
-        assert!(json.contains("\"slots\""), "snapshot JSON: {json:.40}");
+        let snap = codec::BinaryV3.decode_store_snapshot(&body).unwrap();
+        assert_eq!(snap.edges_processed, 40);
+        assert_eq!(snap.config.slots(), 64);
         // Arguments are still refused, as a text frame.
         let (frame, _) = handle_command_framed(&s, "REPL SNAPSHOT now");
         let env = codec::decode_envelope(&frame).unwrap();

@@ -25,14 +25,16 @@
 //!
 //! ## Binary WAL shipping (wire format v3)
 //!
-//! A replica launched with `--format v3` offers `HELLO v3` right after
-//! connecting; a primary that understands it answers `OK fmt=v3` and
-//! ships every `REPL PULL` batch as one CRC-covered
-//! [`streamlink_core::codec`] `WAL_BATCH` envelope (seqs
+//! A replica launched with `--format v3` (the default) offers
+//! `HELLO v3` right after connecting; a primary that understands it
+//! answers `OK fmt=v3` and ships every `REPL PULL` batch as one
+//! CRC-covered [`streamlink_core::codec`] `WAL_BATCH` envelope (seqs
 //! delta-encoded) instead of per-line text frames — one checksum per
-//! batch, no per-line re-parse. An old primary answers
-//! `ERR unknown command` and the link transparently stays on text
-//! lines, so mixed-version pairs keep replicating.
+//! batch, no per-line re-parse. `REPL SNAPSHOT` answers with one
+//! `SNAPSHOT_FRAME` carrying the v3 store-snapshot envelope, never a
+//! JSON rendering. An old primary answers `ERR unknown command` and
+//! the link transparently stays on text lines, so mixed-version pairs
+//! keep replicating.
 //!
 //! ## Why the primary can never stall
 //!
@@ -69,6 +71,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use streamlink_core::codec::Codec as _;
 use streamlink_core::journal::{self, JournalEntry, LineCheck};
 use streamlink_core::loadgen::SplitMix64;
 use streamlink_core::merge::merge_join;
@@ -146,7 +149,7 @@ impl Default for ReplicaTuning {
     fn default() -> Self {
         ReplicaTuning {
             pull_batch: 4096,
-            wire: WireFormat::TextV2,
+            wire: WireFormat::default(),
             poll_interval: Duration::from_millis(100),
             anti_entropy_every: Duration::from_secs(30),
             backoff_base: Duration::from_millis(100),
@@ -558,9 +561,9 @@ pub(super) fn repl_pull_frame(state: &ServerState, args: &[&str]) -> (Vec<u8>, b
     }
 }
 
-/// Binary-mode `REPL SNAPSHOT`: the whole payload as one compressed
-/// `SNAPSHOT_FRAME` envelope (the envelope CRC covers the body, so no
-/// separate len/crc header is needed); errors ship as a `TEXT_FRAME`
+/// Binary-mode `REPL SNAPSHOT`: the v3 store-snapshot envelope inside
+/// one compressed `SNAPSHOT_FRAME` (the envelope CRCs cover the body, so
+/// no separate len/crc header is needed); errors ship as a `TEXT_FRAME`
 /// carrying the usual `ERR` line. Returns `(frame bytes, is_err)`.
 pub(super) fn repl_snapshot_frame(state: &ServerState) -> (Vec<u8>, bool) {
     let Some(repl) = serving_repl(state) else {
@@ -571,13 +574,13 @@ pub(super) fn repl_snapshot_frame(state: &ServerState) -> (Vec<u8>, bool) {
         let seq = repl.log().last_seq();
         (StoreSnapshot::capture(&store), seq)
     };
-    match serde_json::to_string(&snap) {
-        Ok(json) => {
+    match codec::BinaryV3.encode_store_snapshot(&snap) {
+        Ok(bytes) => {
             metrics::global().repl_snapshots_shipped.incr();
-            (codec::encode_snapshot_frame(seq, json.as_bytes()), false)
+            (codec::encode_snapshot_frame(seq, &bytes), false)
         }
         Err(e) => (
-            codec::encode_text_frame(&format!("ERR cannot serialize snapshot: {e}")),
+            codec::encode_text_frame(&format!("ERR cannot encode snapshot: {e}")),
             true,
         ),
     }
@@ -1031,9 +1034,7 @@ pub(super) fn snapshot_round_with(
     force_replace: bool,
 ) -> io::Result<()> {
     link.send("REPL SNAPSHOT")?;
-    let (seq, json) = recv_snapshot(link)?;
-    let snap: StoreSnapshot =
-        serde_json::from_str(&json).map_err(|e| bad_data(format!("bad snapshot JSON: {e}")))?;
+    let (seq, snap) = recv_snapshot(link)?;
     let incoming = snap.restore();
     {
         let mut store = state.write_store();
@@ -1066,20 +1067,18 @@ pub(super) fn snapshot_round_with(
     Ok(())
 }
 
-/// Receives one snapshot payload. On a v3 link the primary ships a
+/// Receives and decodes one snapshot. On a v3 link the primary ships a
 /// single compressed `SNAPSHOT_FRAME` envelope (its CRC covers the
 /// body, so there is no separate len/crc line); text links — and v3
 /// links talking to an older primary — use the
 /// `OK snapshot seq= len= crc32=` header plus one JSON line.
-fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, String)> {
+fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, StoreSnapshot)> {
     if link.binary && link.pending.is_empty() {
         match link.recv_frame()? {
             (codec::MODE_SNAPSHOT_FRAME, body) => {
                 let (seq, bytes) =
                     codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?;
-                let json =
-                    String::from_utf8(bytes).map_err(|_| bad_data("snapshot frame not UTF-8"))?;
-                return Ok((seq, json));
+                return Ok((seq, decode_snapshot_payload(&bytes)?));
             }
             (codec::MODE_TEXT_FRAME, body) => {
                 // An older primary wraps the text response in a frame;
@@ -1117,7 +1116,16 @@ fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, String)> {
             json.len()
         )));
     }
-    Ok((seq, json))
+    Ok((seq, decode_snapshot_payload(json.as_bytes())?))
+}
+
+/// Decodes a shipped snapshot: the v3 store-snapshot envelope, or the
+/// JSON document that text links and older primaries send.
+fn decode_snapshot_payload(bytes: &[u8]) -> io::Result<StoreSnapshot> {
+    if codec::is_binary(bytes) {
+        return codec::BinaryV3.decode_store_snapshot(bytes);
+    }
+    serde_json::from_slice(bytes).map_err(|e| bad_data(format!("bad snapshot JSON: {e}")))
 }
 
 /// After a snapshot install moved the applied mark without journal
@@ -1402,6 +1410,36 @@ mod tests {
         // The tail that is still buffered serves fine.
         let reply = repl_command(&state, &["PULL", "r1", "6", "100"]);
         assert!(reply.ends_with("OK 4 entries primary_seq=10"), "{reply}");
+    }
+
+    #[test]
+    fn snapshot_frame_payloads_decode_in_both_formats() {
+        let state = primary_state();
+        for i in 1..=7u64 {
+            state
+                .insert_edge(VertexId(i), VertexId(i % 3 + 200))
+                .unwrap();
+        }
+        let expected = StoreSnapshot::capture(&state.read_store());
+        let payload = |frame: &[u8]| {
+            let env = codec::decode_envelope(frame).unwrap();
+            assert_eq!(env.mode, codec::MODE_SNAPSHOT_FRAME);
+            let (seq, payload) = codec::decode_snapshot_frame_body(env.body).unwrap();
+            assert_eq!(seq, 7);
+            payload
+        };
+
+        // This primary ships the v3 store-snapshot envelope.
+        let (frame, is_err) = repl_snapshot_frame(&state);
+        assert!(!is_err);
+        let shipped = payload(&frame);
+        assert!(codec::is_binary(&shipped), "frame carries a v3 envelope");
+        assert_eq!(decode_snapshot_payload(&shipped).unwrap(), expected);
+
+        // An older primary's frame carries the JSON document.
+        let json = serde_json::to_string(&expected).unwrap();
+        let legacy = payload(&codec::encode_snapshot_frame(7, json.as_bytes()));
+        assert_eq!(decode_snapshot_payload(&legacy).unwrap(), expected);
     }
 
     #[test]

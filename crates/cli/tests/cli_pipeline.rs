@@ -126,6 +126,121 @@ fn binary_format_roundtrips_through_ingest() {
     .expect("query");
 }
 
+/// Runs a durable `streamlink serve` with `extra` flags over `dir`,
+/// inserts `edges`, and stops it with SIGTERM so it writes its shutdown
+/// generation. Returns that generation's path.
+fn serve_generation(dir: &std::path::Path, extra: &[&str], edges: &[(u64, u64)]) -> String {
+    use std::io::{BufRead, BufReader, Write};
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_streamlink"))
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--slots",
+            "64",
+            "--seed",
+            "7",
+        ])
+        .args(["--data-dir", dir.to_str().unwrap()])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn streamlink serve");
+    let addr = BufReader::new(child.stdout.take().unwrap())
+        .lines()
+        .find_map(|line| Some(line.ok()?.strip_prefix("LISTENING ")?.to_string()))
+        .expect("server exited before announcing LISTENING");
+    let mut conn = std::net::TcpStream::connect(&addr).unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    for &(u, v) in edges {
+        writeln!(conn, "INSERT {u} {v}").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "OK inserted");
+    }
+    drop((conn, reader));
+    let killed = Command::new("kill")
+        .args(["-TERM", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(killed.success());
+    assert!(child.wait().unwrap().success(), "serve exits 0 on SIGTERM");
+    let (_, newest) = streamlink_core::durable::list_generations(dir)
+        .unwrap()
+        .pop()
+        .expect("shutdown generation");
+    newest.to_string_lossy().into_owned()
+}
+
+/// `streamlink query` output for `pairs` on `snapshot`.
+fn query_output(snapshot: &str, pairs: &[&str]) -> String {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_streamlink"));
+    cmd.args(["query", "--snapshot", snapshot, "--measure", "jaccard"]);
+    for pair in pairs {
+        cmd.args(["--pair", pair]);
+    }
+    let out = cmd.output().expect("run streamlink query");
+    assert!(
+        out.status.success(),
+        "query on {snapshot} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
+#[test]
+fn query_reads_what_serve_writes_in_either_format() {
+    let dir = TempDir::new("served");
+    let edges: Vec<(u64, u64)> = (0..60u64)
+        .flat_map(|w| [(1, 100 + w % 11), (2, 100 + w % 7)])
+        .collect();
+    let pairs = ["1:2", "1:100", "3:4"];
+
+    let v3_dir = dir.0.join("v3");
+    let v3 = serve_generation(&v3_dir, &[], &edges);
+    assert!(std::fs::read(&v3).unwrap().starts_with(b"SLB3"), "{v3}");
+    let v2_dir = dir.0.join("v2");
+    let v2 = serve_generation(&v2_dir, &["--format", "v2"], &edges);
+    assert!(
+        std::fs::read_to_string(&v2)
+            .unwrap()
+            .starts_with("STREAMLINK-SNAP v2 "),
+        "{v2}"
+    );
+
+    let from_v3 = query_output(&v3, &pairs);
+    assert_eq!(from_v3, query_output(&v2, &pairs));
+    let mut store =
+        streamlink_core::SketchStore::new(streamlink_core::SketchConfig::with_slots(64).seed(7));
+    for &(u, v) in &edges {
+        store.insert_edge(graphstream::VertexId(u), graphstream::VertexId(v));
+    }
+    let jaccard = store
+        .jaccard(graphstream::VertexId(1), graphstream::VertexId(2))
+        .unwrap();
+    assert!(
+        from_v3.starts_with(&format!("jaccard 1:2 {jaccard:.6}\n")),
+        "{from_v3}"
+    );
+    assert!(from_v3.contains("jaccard 3:4 unseen"), "{from_v3}");
+
+    // `top` and `recommend` load the same generations.
+    for snapshot in [&v3, &v2] {
+        run(&argv(&["top", "--snapshot", snapshot, "--vertex", "1"])).expect("top");
+        run(&argv(&[
+            "recommend",
+            "--snapshot",
+            snapshot,
+            "--vertex",
+            "1",
+        ]))
+        .expect("recommend");
+    }
+}
+
 #[test]
 fn evaluate_runs_end_to_end() {
     run(&argv(&[

@@ -43,6 +43,9 @@ impl Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_streamlink"))
             .arg("serve")
             .args(["--addr", "127.0.0.1:0", "--slots", SLOTS, "--seed", SEED])
+            // These tests edit text WAL lines and parse the JSON payload:
+            // they cover the v2 grammar, which stays writable.
+            .args(["--format", "v2"])
             .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())

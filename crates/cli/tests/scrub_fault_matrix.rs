@@ -39,6 +39,9 @@ impl Server {
             .arg("serve")
             .args(["--addr", "127.0.0.1:0", "--slots", SLOTS, "--seed", SEED])
             .args(["--data-dir", dir.to_str().unwrap(), "--fsync", "always"])
+            // The matrix damages v2 text artifacts; the v2 grammar stays
+            // writable.
+            .args(["--format", "v2"])
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()

@@ -5,13 +5,15 @@
 //! replication batches, protocol frames — is encoded through a codec so
 //! the serving and recovery layers are format-agnostic:
 //!
-//! * [`TextV2`] — today's human-readable formats, unchanged on disk:
+//! * [`TextV2`] — the human-readable formats, unchanged on disk:
 //!   `STREAMLINK-SNAP v2` framed JSON snapshots and `F <seq> <u> <v>
-//!   <crc32>` WAL lines. Kept both for rollback and for `grep`-ability.
-//! * [`BinaryV3`] — a checksummed binary envelope with LEB128 varints
-//!   and delta-encoded sorted columns. Snapshots shrink several-fold and
-//!   decode without a JSON parser; recovery replay gets correspondingly
-//!   faster (experiment E24 gates the ratio).
+//!   <crc32>` WAL lines. Kept both for rollback (`serve --format v2`)
+//!   and for `grep`-ability.
+//! * [`BinaryV3`] — the default ([`WireFormat::default`]): a
+//!   checksummed binary envelope with LEB128 varints and delta-encoded
+//!   sorted columns. Snapshots shrink several-fold and decode without a
+//!   JSON parser; recovery replay gets correspondingly faster
+//!   (experiment E24 gates the ratio).
 //!
 //! ## The v3 envelope
 //!
@@ -48,7 +50,7 @@ use std::fmt;
 use std::io;
 
 use graphstream::VertexId;
-use hashkit::crc32;
+use hashkit::crc32::{crc32, Crc32};
 
 use crate::config::{HasherBackend, SketchConfig};
 use crate::journal::JournalEntry;
@@ -82,8 +84,10 @@ pub const MODE_TEXT_FRAME: u8 = 0x04;
 /// Envelope mode byte: a replication batch of WAL entries.
 pub const MODE_WAL_BATCH: u8 = 0x05;
 /// Envelope mode byte: an anti-entropy snapshot transfer whose body is
-/// `varint seq · varint raw_len · LZ-compressed snapshot bytes` (the
-/// checksummed JSON document the text plane ships verbatim).
+/// `varint seq · varint raw_len · LZ-compressed snapshot bytes`. The
+/// snapshot bytes are a v3 [`MODE_STORE_SNAPSHOT`] envelope; primaries
+/// older than that shipped the JSON document the text plane ships, so
+/// receivers sniff ([`is_binary`]) before decoding.
 pub const MODE_SNAPSHOT_FRAME: u8 = 0x06;
 
 /// Why a binary decode failed. Every variant is a fail-closed outcome:
@@ -188,14 +192,20 @@ pub struct Envelope<'a> {
 #[must_use]
 pub fn encode_envelope(mode: u8, body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 20);
-    out.extend_from_slice(&BINARY_MAGIC);
-    out.push(BINARY_VERSION);
-    out.push(mode);
-    write_varint(&mut out, body.len() as u64);
+    push_envelope_head(&mut out, mode, body.len() as u64);
     out.extend_from_slice(body);
     let crc = crc32(&out[BINARY_MAGIC.len()..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Appends an envelope's opening bytes: magic, version, mode and the
+/// body length varint.
+fn push_envelope_head(out: &mut Vec<u8>, mode: u8, body_len: u64) {
+    out.extend_from_slice(&BINARY_MAGIC);
+    out.push(BINARY_VERSION);
+    out.push(mode);
+    write_varint(out, body_len);
 }
 
 /// Decodes and verifies one envelope at the start of `bytes`.
@@ -715,11 +725,43 @@ fn read_vertex_count(body: &[u8], pos: &mut usize) -> Result<usize, CodecError> 
     usize::try_from(count).map_err(|_| CodecError::TooLarge("vertex count"))
 }
 
-fn encode_store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecError> {
-    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
-    encode_config(&mut body, &snap.config)?;
-    write_varint(&mut body, snap.edges_processed);
-    write_varint(&mut body, snap.vertices.len() as u64);
+/// Encoder output gathered into chunks of about [`Chunks::SIZE`] bytes
+/// and handed to a sink, so a snapshot body can be measured or written
+/// without ever existing whole in memory.
+struct Chunks<'a> {
+    buf: Vec<u8>,
+    sink: &'a mut dyn FnMut(&[u8]) -> io::Result<()>,
+}
+
+impl Chunks<'_> {
+    const SIZE: usize = 64 << 10;
+
+    /// Hands the buffer on once it holds a chunk.
+    fn spill(&mut self) -> io::Result<()> {
+        if self.buf.len() >= Self::SIZE {
+            (self.sink)(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    fn finish(self) -> io::Result<()> {
+        (self.sink)(&self.buf)
+    }
+}
+
+/// Encodes the v3 body of `snap` in chunks, handing each to `sink`.
+fn emit_store_snapshot_body(
+    snap: &StoreSnapshot,
+    sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut out = Chunks {
+        buf: Vec::with_capacity(Chunks::SIZE + 4096),
+        sink,
+    };
+    encode_config(&mut out.buf, &snap.config)?;
+    write_varint(&mut out.buf, snap.edges_processed);
+    write_varint(&mut out.buf, snap.vertices.len() as u64);
     let mut prev = 0u64;
     for (i, entry) in snap.vertices.iter().enumerate() {
         let delta = if i == 0 {
@@ -727,15 +769,27 @@ fn encode_store_snapshot_body(snap: &StoreSnapshot) -> Result<Vec<u8>, CodecErro
         } else {
             entry.vertex.0.wrapping_sub(prev)
         };
-        write_varint(&mut body, delta);
+        write_varint(&mut out.buf, delta);
         prev = entry.vertex.0;
+        out.spill()?;
     }
     for entry in &snap.vertices {
-        write_varint(&mut body, entry.degree);
+        write_varint(&mut out.buf, entry.degree);
+        out.spill()?;
     }
     for entry in &snap.vertices {
-        encode_sketch(&mut body, &entry.sketch);
+        encode_sketch(&mut out.buf, &entry.sketch);
+        out.spill()?;
     }
+    out.finish()
+}
+
+fn encode_store_snapshot_body(snap: &StoreSnapshot) -> io::Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(32 + snap.vertices.len() * 16);
+    emit_store_snapshot_body(snap, &mut |chunk| {
+        body.extend_from_slice(chunk);
+        Ok(())
+    })?;
     Ok(body)
 }
 
@@ -789,6 +843,18 @@ pub trait Codec {
     /// text codec, unserializable).
     fn encode_store_snapshot(&self, snap: &StoreSnapshot) -> io::Result<Vec<u8>>;
 
+    /// Writes the bytes of [`Codec::encode_store_snapshot`] to `out`.
+    ///
+    /// # Errors
+    /// Fails if the snapshot cannot be rendered, or if `out` fails.
+    fn write_store_snapshot(
+        &self,
+        snap: &StoreSnapshot,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
+        out.write_all(&self.encode_store_snapshot(snap)?)
+    }
+
     /// Decodes and verifies a full store snapshot file.
     ///
     /// # Errors
@@ -819,7 +885,7 @@ impl Codec for TextV2 {
 
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
         let (payload, _) = snapshot::verify_text(bytes)?;
-        serde_json::from_str(&payload)
+        serde_json::from_str(payload)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
     }
 
@@ -858,6 +924,32 @@ impl Codec for BinaryV3 {
         Ok(encode_envelope(MODE_STORE_SNAPSHOT, &body))
     }
 
+    /// Streams the envelope: one encoding pass measures the body for
+    /// the length prefix, a second writes it through the CRC in chunks.
+    /// The body is never held whole, and the bytes equal
+    /// [`Codec::encode_store_snapshot`]'s.
+    fn write_store_snapshot(
+        &self,
+        snap: &StoreSnapshot,
+        out: &mut dyn io::Write,
+    ) -> io::Result<()> {
+        let mut body_len = 0u64;
+        emit_store_snapshot_body(snap, &mut |chunk| {
+            body_len += chunk.len() as u64;
+            Ok(())
+        })?;
+        let mut head = Vec::with_capacity(16);
+        push_envelope_head(&mut head, MODE_STORE_SNAPSHOT, body_len);
+        let mut crc = Crc32::new();
+        crc.update(&head[BINARY_MAGIC.len()..]);
+        out.write_all(&head)?;
+        emit_store_snapshot_body(snap, &mut |chunk| {
+            crc.update(chunk);
+            out.write_all(chunk)
+        })?;
+        out.write_all(&crc.finish().to_le_bytes())
+    }
+
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
         let body = Self::decode_expecting(bytes, MODE_STORE_SNAPSHOT)?;
         Ok(decode_store_snapshot_body(body)?)
@@ -869,12 +961,16 @@ impl Codec for BinaryV3 {
 }
 
 /// The format selector carried by CLI flags and write paths.
+///
+/// [`WireFormat::default`] is the one source of the server's write
+/// format: `serve` without `--format` and a replica's offered wire both
+/// read it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireFormat {
-    /// Human-readable text formats (today's default).
-    #[default]
+    /// Human-readable text formats (`--format v2`, the rollback).
     TextV2,
-    /// Checksummed binary v3.
+    /// Checksummed binary v3 (the default).
+    #[default]
     BinaryV3,
 }
 

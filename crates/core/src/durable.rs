@@ -3,11 +3,14 @@
 //! A data directory persists a serving store as two artifacts:
 //!
 //! * `snapshot.<seq>.json` — checksummed [`StoreSnapshot`] **generations**
-//!   (see [`StoreSnapshot::write_atomic`] and the v2 framing in
-//!   [`crate::snapshot`]), one per checkpoint, newest-K retained. `<seq>`
-//!   is the WAL sequence number the snapshot covers, so recovery knows
-//!   where replay must resume *per generation*. A bare `snapshot.json`
-//!   from the pre-chain format is still honored as the oldest fallback.
+//!   (see [`StoreSnapshot::write_atomic_as`] and [`crate::codec`]), one
+//!   per checkpoint, newest-K retained. `<seq>` is the WAL sequence
+//!   number the snapshot covers, so recovery knows where replay must
+//!   resume *per generation*. The name is historical: a generation holds
+//!   whichever format the journal writes (binary v3 by default, framed
+//!   JSON v2 under `--format v2`), and reads sniff it. A bare
+//!   `snapshot.json` from the pre-chain format is still honored as the
+//!   oldest fallback.
 //! * `wal.<seq>.log` — journal segments holding every acked edge (see
 //!   [`crate::journal`]), retained back to the **oldest** generation so
 //!   any retained snapshot can still replay forward.
@@ -420,6 +423,49 @@ mod tests {
         for v in store.vertices() {
             assert_eq!(rec.store.sketch(v), store.sketch(v), "sketch at {v}");
             assert_eq!(rec.store.degree(v), store.degree(v));
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn default_format_recovery_equals_the_pre_crash_store() {
+        // A data directory written in the default format: its generation
+        // and WAL are v3, and the recovered store (generation restored
+        // by move, then the tail replayed) is the pre-crash store.
+        let dir = temp_dir("v3default");
+        let edges: Vec<_> = BarabasiAlbert::new(150, 3, 11).edges().collect();
+        let cut = edges.len() * 2 / 3;
+
+        let mut store = SketchStore::new(cfg());
+        let mut journal = Journal::create_with_format(
+            &dir,
+            1,
+            FsyncPolicy::OnRotate,
+            WireFormat::default(),
+            None,
+        )
+        .unwrap();
+        for e in &edges[..cut] {
+            ingest(&mut store, &mut journal, e.src.0, e.dst.0);
+        }
+        run_checkpoint(&store, &dir, &mut journal, DEFAULT_SNAPSHOT_KEEP);
+        for e in &edges[cut..] {
+            ingest(&mut store, &mut journal, e.src.0, e.dst.0);
+        }
+        drop(journal); // crash
+
+        let (_, generation) = list_generations(&dir).unwrap().pop().unwrap();
+        assert!(fs::read(generation).unwrap().starts_with(b"SLB3"));
+        let (_, segment) = journal::list_segments(&dir).unwrap().pop().unwrap();
+        assert!(fs::read(segment).unwrap().starts_with(b"SLB3"));
+
+        let rec = recover(&dir, cfg()).unwrap();
+        assert_eq!(rec.snapshot_seq, cut as u64);
+        assert_eq!(rec.store.vertex_count(), store.vertex_count());
+        assert_eq!(rec.store.edges_processed(), store.edges_processed());
+        for v in store.vertices() {
+            assert_eq!(rec.store.sketch(v), store.sketch(v), "sketch at {v}");
+            assert_eq!(rec.store.degree(v), store.degree(v), "degree at {v}");
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,8 +9,9 @@
 //!
 //! A journal is a directory of segment files named `wal.<first_seq>.log`,
 //! where `first_seq` is the sequence number of the first entry the
-//! segment may contain. Entries are text lines. The current (v2) framing
-//! carries a per-record CRC-32 ([`hashkit::crc32()`]) over the payload:
+//! segment may contain. [`Journal::create`] writes text lines; their v2
+//! framing carries a per-record CRC-32 ([`hashkit::crc32()`]) over the
+//! payload:
 //!
 //! ```text
 //! F <seq> <u> <v> <crc32-lower-hex-8>\n
@@ -20,8 +21,9 @@
 //! replayed, so data directories written before the framing change load
 //! unmodified; they simply cannot be *verified*, only parsed.
 //!
-//! A journal opened with [`crate::codec::WireFormat::BinaryV3`] appends
-//! binary envelope records instead (see [`crate::codec`]): same
+//! A journal opened with [`crate::codec::WireFormat::BinaryV3`] — the
+//! server's default — appends binary envelope records instead (see
+//! [`crate::codec`]): same
 //! per-record CRC guarantee, a fraction of the bytes, no text parsing on
 //! replay. [`scan_segment`] sniffs each record's framing from its first
 //! bytes, so segments of any format — even interleaved in one directory

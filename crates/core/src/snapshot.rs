@@ -1,11 +1,11 @@
 //! Serde snapshots of a sketch store.
 //!
 //! A [`StoreSnapshot`] is a plain-data, format-agnostic image of a
-//! [`SketchStore`]: persist it with any serde format (the CLI uses JSON),
-//! ship it across processes, or archive per-epoch states of a long-running
-//! stream. Restoring rebuilds the hasher bank from the embedded config, so
-//! a restored store continues ingesting the stream exactly where the
-//! original left off.
+//! [`SketchStore`]: persist it in either [`crate::codec`] format (binary
+//! v3 or framed JSON v2), ship it across processes, or archive
+//! per-epoch states of a long-running stream. Restoring rebuilds the
+//! hasher bank from the embedded config, so a restored store continues
+//! ingesting the stream exactly where the original left off.
 //!
 //! ## Crash-safe writes
 //!
@@ -31,9 +31,13 @@
 //! transparently to v1 (bare JSON, no header): old data directories load
 //! unmodified, they just cannot be *verified* (see
 //! [`SnapshotIntegrity::Legacy`]).
+//!
+//! The server writes binary v3 by default ([`codec::WireFormat`]): one
+//! CRC-covered envelope around a columnar body. Reads sniff the magic,
+//! so v1, v2 and v3 files all load through [`StoreSnapshot::read_from`].
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 use hashkit::crc32;
@@ -68,9 +72,9 @@ pub(crate) fn frame_v2(json: &str) -> String {
     )
 }
 
-/// Reads a snapshot file and verifies its framing, returning the JSON
-/// payload and what the check proved. Does not interpret the payload —
-/// `scrub` uses this to verify files it never deserializes.
+/// Reads a text snapshot file and verifies its framing, returning the
+/// JSON payload and what the check proved. Does not interpret the
+/// payload.
 ///
 /// # Errors
 /// * [`io::ErrorKind::NotFound`] — no file.
@@ -78,19 +82,28 @@ pub(crate) fn frame_v2(json: &str) -> String {
 ///   (truncation or trailing garbage), or CRC mismatch (bit rot). The
 ///   message says which.
 pub fn read_verified(path: &Path) -> io::Result<(String, SnapshotIntegrity)> {
-    let bytes = fs::read(path)?;
-    verify_text(&bytes).map_err(|e| rewrap(e, path))
+    let mut bytes = fs::read(path)?;
+    let (header_len, integrity) = {
+        let (payload, integrity) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
+        (bytes.len() - payload.len(), integrity)
+    };
+    // The payload is the file's tail: drop the header in place instead
+    // of copying the payload out.
+    bytes.drain(..header_len);
+    let payload = String::from_utf8(bytes).map_err(|_| corrupt(path, "not UTF-8"))?;
+    Ok((payload, integrity))
 }
 
 /// Verifies v2/v1 text framing over in-memory bytes, returning the JSON
-/// payload and what the check proved. The text half of the codec layer;
-/// [`read_verified`] wraps it with path context.
-pub(crate) fn verify_text(bytes: &[u8]) -> io::Result<(String, SnapshotIntegrity)> {
+/// payload (borrowed from `bytes`) and what the check proved. The text
+/// half of the codec layer; [`read_verified`] wraps it with path
+/// context.
+pub(crate) fn verify_text(bytes: &[u8]) -> io::Result<(&str, SnapshotIntegrity)> {
     let invalid = |detail: &str| io::Error::new(io::ErrorKind::InvalidData, detail.to_string());
     let content = std::str::from_utf8(bytes).map_err(|_| invalid("unreadable or not UTF-8"))?;
     let Some(rest) = content.strip_prefix(SNAPSHOT_MAGIC) else {
         // No magic: a legacy v1 bare-JSON snapshot.
-        return Ok((content.to_string(), SnapshotIntegrity::Legacy));
+        return Ok((content, SnapshotIntegrity::Legacy));
     };
     let (header, payload) = rest
         .split_once('\n')
@@ -122,7 +135,7 @@ pub(crate) fn verify_text(bytes: &[u8]) -> io::Result<(String, SnapshotIntegrity
             "payload CRC mismatch: header {expected:08x}, computed {found:08x}"
         )));
     }
-    Ok((payload.to_string(), SnapshotIntegrity::Verified))
+    Ok((payload, SnapshotIntegrity::Verified))
 }
 
 fn corrupt(path: &Path, detail: &str) -> io::Error {
@@ -142,13 +155,17 @@ fn rewrap(e: io::Error, path: &Path) -> io::Error {
     }
 }
 
-/// Writes `content` to `path` atomically: temp file in the same
-/// directory, flush + fsync, rename over the target, fsync the directory.
-fn write_atomic_bytes(path: &Path, content: &[u8]) -> io::Result<()> {
+/// Writes `path` atomically with what `write` puts into it: temp file
+/// in the same directory, fsync, rename over the target, fsync the
+/// directory.
+fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let tmp = path.with_extension("json.tmp");
     {
         let mut f = File::create(&tmp)?;
-        f.write_all(content)?;
+        write(&mut f)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -206,14 +223,15 @@ impl StoreSnapshot {
         }
     }
 
-    /// Restores a live store from the snapshot.
+    /// Restores a live store from the snapshot, moving every sketch
+    /// into it (clone the snapshot first to keep it).
     #[must_use]
-    pub fn restore(&self) -> SketchStore {
+    pub fn restore(self) -> SketchStore {
         let mut store = SketchStore::new(self.config);
         {
             let (sketches, degrees, edges) = store.parts_mut();
-            for entry in &self.vertices {
-                sketches.insert(entry.vertex, entry.sketch.clone());
+            for entry in self.vertices {
+                sketches.insert(entry.vertex, entry.sketch);
                 degrees.insert(entry.vertex, entry.degree);
             }
             *edges = self.edges_processed;
@@ -222,7 +240,9 @@ impl StoreSnapshot {
     }
 
     /// Persists the snapshot at `path` in the v2 text format using the
-    /// atomic temp-file–fsync–rename protocol.
+    /// atomic temp-file–fsync–rename protocol. Text-grammar tests and
+    /// batch tools use it; the server writes [`codec::WireFormat::default`]
+    /// through [`Self::write_atomic_as`].
     ///
     /// # Errors
     /// Fails on IO errors; the previous snapshot at `path` (if any) is
@@ -232,12 +252,14 @@ impl StoreSnapshot {
     }
 
     /// Persists the snapshot at `path` atomically in the given format.
+    /// The bytes go straight to the temp file: a v3 body is encoded in
+    /// chunks through the CRC into it, never held whole in memory.
     ///
     /// # Errors
     /// Fails on IO errors; the previous snapshot at `path` (if any) is
     /// untouched on failure.
     pub fn write_atomic_as(&self, path: &Path, format: codec::WireFormat) -> io::Result<()> {
-        write_atomic_bytes(path, &format.codec().encode_store_snapshot(self)?)
+        write_atomic_with(path, |f| format.codec().write_store_snapshot(self, f))
     }
 
     /// Loads a snapshot previously written with [`Self::write_atomic`]
@@ -265,7 +287,7 @@ impl StoreSnapshot {
             return Ok((snap, SnapshotIntegrity::Verified));
         }
         let (payload, integrity) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
-        let snap = serde_json::from_str(&payload).map_err(|e| corrupt(path, &e.to_string()))?;
+        let snap = serde_json::from_str(payload).map_err(|e| corrupt(path, &e.to_string()))?;
         Ok((snap, integrity))
     }
 }
@@ -413,6 +435,24 @@ mod tests {
         let err = StoreSnapshot::read_from(&corrupt).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
         fs::remove_file(&corrupt).unwrap();
+    }
+
+    #[test]
+    fn streamed_v3_file_equals_the_encoded_snapshot() {
+        use crate::codec::{BinaryV3, WireFormat};
+        let path = temp_path("v3stream");
+        // Large enough that the body streams out in several chunks.
+        let mut store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
+        store.insert_stream(BarabasiAlbert::new(3000, 3, 8).edges());
+        let snap = StoreSnapshot::capture(&store);
+        snap.write_atomic_as(&path, WireFormat::BinaryV3).unwrap();
+        let on_disk = fs::read(&path).unwrap();
+        assert!(on_disk.len() > 4 << 16, "{} bytes", on_disk.len());
+        assert_eq!(on_disk, BinaryV3.encode_store_snapshot(&snap).unwrap());
+        assert!(codec::is_binary(&on_disk));
+        assert_eq!(StoreSnapshot::read_from(&path).unwrap(), snap);
+        assert!(!path.with_extension("json.tmp").exists());
+        fs::remove_file(&path).unwrap();
     }
 
     #[test]
