@@ -28,10 +28,9 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use streamlink_core::codec;
 use streamlink_core::durable;
 use streamlink_core::journal::{self, JournalEntry, RecordKind};
-use streamlink_core::snapshot::{SnapshotIntegrity, StoreSnapshot};
+use streamlink_core::snapshot::{self, SnapshotIntegrity, StoreSnapshot};
 
 use crate::args::Flags;
 
@@ -121,7 +120,7 @@ impl ScrubReport {
 /// returning a framing tag for the verdict line and the edge count it
 /// carries.
 fn check_snapshot(path: &Path) -> io::Result<(&'static str, u64)> {
-    let binary = codec::is_binary(&fs::read(path)?);
+    let binary = snapshot::is_binary_file(path)?;
     let (snap, integrity) = StoreSnapshot::read_with_integrity(path)?;
     let tag = if binary {
         "v3 verified"

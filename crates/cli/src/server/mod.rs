@@ -684,21 +684,21 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use streamlink_core::journal::FsyncPolicy;
+    use streamlink_core::snapshot::StoreSnapshot;
     use streamlink_core::{SketchConfig, WireFormat};
+
+    fn sketch_config() -> SketchConfig {
+        SketchConfig::with_slots(16).seed(5)
+    }
 
     /// A durable server over a fresh data directory, auditor on (the
     /// default config), exactly as `serve --data-dir` builds it.
-    fn durable_state(tag: &str) -> (ServerState, PathBuf) {
+    fn durable_state(tag: &str, format: WireFormat) -> (ServerState, PathBuf) {
         let dir =
             std::env::temp_dir().join(format!("streamlink-server-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (persist, recovery) = persistence::open(
-            &dir,
-            SketchConfig::with_slots(16).seed(5),
-            FsyncPolicy::Never,
-            WireFormat::TextV2,
-        )
-        .unwrap();
+        let (persist, recovery) =
+            persistence::open(&dir, sketch_config(), FsyncPolicy::Never, format).unwrap();
         let state = ServerState::with_persistence(
             recovery.store,
             persist,
@@ -720,7 +720,7 @@ mod tests {
         const WRITERS: u64 = 8;
         const PER_WRITER: u64 = 500;
         let hot = VertexId(0);
-        let (state, dir) = durable_state("hot-writers");
+        let (state, dir) = durable_state("hot-writers", WireFormat::TextV2);
         let mut seqs: Vec<u64> = thread::scope(|scope| {
             let writers: Vec<_> = (0..WRITERS)
                 .map(|t| {
@@ -755,7 +755,7 @@ mod tests {
         // a dip would mean a reader saw a torn or rolled-back update.
         const TOTAL: u64 = 2_000;
         let hot = VertexId(7);
-        let (state, dir) = durable_state("monotone-readers");
+        let (state, dir) = durable_state("monotone-readers", WireFormat::TextV2);
         thread::scope(|scope| {
             for t in 0..4u64 {
                 let state = &state;
@@ -789,6 +789,51 @@ mod tests {
             }
         });
         assert_eq!(state.read_store().degree(hot), TOTAL);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoints_taken_under_writer_bursts_are_consistent_cuts() {
+        // Sketches are copy-on-write, so a checkpoint shares the slots
+        // writers keep folding into. Every writer hits the same 50 hub
+        // sketches while checkpoints run; the process then dies without
+        // a final checkpoint. Recovery (newest mid-burst generation plus
+        // the WAL after it) must equal the live store, which it cannot
+        // if a later fold leaked into a capture. Each checkpoint also
+        // records the pause it held the locks for.
+        const WRITERS: u64 = 4;
+        const PER_WRITER: u64 = 1_500;
+        const CHECKPOINTS: u64 = 5;
+        let pauses = || {
+            streamlink_core::metrics::global()
+                .checkpoint_capture_pause
+                .summary()
+                .count
+        };
+        let before = pauses();
+        let (state, dir) = durable_state("cow-checkpoints", WireFormat::BinaryV3);
+        thread::scope(|scope| {
+            for t in 0..WRITERS {
+                let state = &state;
+                scope.spawn(move || {
+                    for i in 0..PER_WRITER {
+                        let partner = VertexId(100 + t * PER_WRITER + i);
+                        state.insert_edge(VertexId(i % 50), partner).unwrap();
+                    }
+                });
+            }
+            for _ in 0..CHECKPOINTS {
+                persistence::checkpoint_now(&state).unwrap();
+            }
+        });
+        assert!(pauses() >= before + CHECKPOINTS);
+        let live = StoreSnapshot::capture(&state.read_store());
+        drop(state);
+
+        let rec = streamlink_core::durable::recover(&dir, sketch_config()).unwrap();
+        assert_eq!(rec.fallbacks, 0);
+        assert!(rec.snapshot_loaded);
+        assert_eq!(StoreSnapshot::capture(&rec.store), live);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,8 +12,10 @@
 //!   quarantined.
 //! * [`checkpoint_now`] captures a snapshot and rotates the journal
 //!   under the locks, then writes a new generation, trims retention, and
-//!   prunes with no store lock held, so ingestion stalls only for the
-//!   in-memory capture.
+//!   prunes with no store lock held. Sketches are copy-on-write, so the
+//!   capture copies one pointer per vertex: ingestion stalls for that
+//!   and the rotation (`checkpoint.capture_pause_ns`), and a writer
+//!   copies a sketch only when it changes one the capture still holds.
 //! * `checkpoint_loop` runs `checkpoint_now` whenever the journal lag
 //!   passes the configured edge budget or the time interval elapses.
 
@@ -27,6 +29,7 @@ use std::time::{Duration, Instant};
 use streamlink_core::chaos::FaultPlan;
 use streamlink_core::durable::{self, Recovery};
 use streamlink_core::journal::{FsyncPolicy, Journal};
+use streamlink_core::metrics;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::WireFormat;
 
@@ -97,7 +100,8 @@ pub struct CheckpointReport {
 }
 
 /// Takes one checkpoint: capture + journal rotation under the store
-/// lock and the persist mutex (brief), then — holding neither —
+/// lock and the persist mutex (brief; timed into
+/// `checkpoint.capture_pause_ns`), then — holding neither —
 /// [`durable::write_generation`], and finally a journal prune back to
 /// the oldest retained generation under the persist mutex alone (so
 /// every retained generation can still replay forward; see
@@ -125,10 +129,13 @@ pub fn checkpoint_now(state: &ServerState) -> io::Result<CheckpointReport> {
     durable::metered(|| {
         let (snapshot, wal_seq, dir, format, faults) = {
             let store = state.read_store();
+            let paused = Instant::now();
             let mut persist = lock(persist);
             let snapshot = StoreSnapshot::capture(&store);
             let wal_seq = persist.journal.next_seq() - 1;
-            persist.journal.rotate(wal_seq + 1)?;
+            let rotated = persist.journal.rotate(wal_seq + 1);
+            metrics::global().checkpoint_capture_pause.observe(paused);
+            rotated?;
             (
                 snapshot,
                 wal_seq,

@@ -33,6 +33,11 @@
 //! length fields cannot balloon memory — they fail closed into the same
 //! quarantine paths the text formats use.
 //!
+//! Store snapshots, the one large record, are read from a seekable
+//! source in chunks ([`read_store_snapshot`]): a first pass checks the
+//! framing and the CRC, a second decodes, so a generation file is never
+//! held whole beside the store it decodes into.
+//!
 //! ## Columnar snapshot bodies
 //!
 //! A v3 snapshot body stores per-sketch slot state as three columns:
@@ -604,16 +609,37 @@ fn encode_sketch(out: &mut Vec<u8>, sketch: &VertexSketch) {
     }
 }
 
-fn decode_sketch(body: &[u8], pos: &mut usize, k: usize) -> Result<VertexSketch, CodecError> {
-    let filled = read_varint(body, pos)?;
-    if filled > k as u64 {
-        return Err(CodecError::Malformed("filled slots exceed sketch width"));
+/// Column buffers reused across the sketches of one snapshot decode.
+struct SketchColumns {
+    hashes: Vec<u64>,
+    indices: Vec<usize>,
+    taken: Vec<bool>,
+}
+
+impl SketchColumns {
+    fn new(k: usize) -> Self {
+        Self {
+            hashes: Vec::new(),
+            indices: Vec::new(),
+            taken: vec![false; k],
+        }
     }
-    let filled = usize::try_from(filled).map_err(|_| CodecError::TooLarge("filled slot count"))?;
-    let mut hashes = Vec::with_capacity(filled);
+}
+
+/// Decodes one sketch straight into the single slot allocation it keeps.
+fn decode_sketch<R: io::Read>(
+    r: &mut EnvelopeReader<R>,
+    cols: &mut SketchColumns,
+) -> io::Result<VertexSketch> {
+    let k = cols.taken.len();
+    let filled = r.varint()?;
+    if filled > k as u64 {
+        return Err(CodecError::Malformed("filled slots exceed sketch width").into());
+    }
+    cols.hashes.clear();
     let mut prev = 0u64;
     for i in 0..filled {
-        let delta = read_varint(body, pos)?;
+        let delta = r.varint()?;
         let hash = if i == 0 {
             delta
         } else {
@@ -621,30 +647,29 @@ fn decode_sketch(body: &[u8], pos: &mut usize, k: usize) -> Result<VertexSketch,
                 .ok_or(CodecError::Malformed("hash column overflows"))?
         };
         prev = hash;
-        hashes.push(hash);
+        cols.hashes.push(hash);
     }
-    let mut slots = vec![Slot::EMPTY; k].into_boxed_slice();
-    let mut taken = vec![false; k];
-    let mut indices = Vec::with_capacity(filled);
+    cols.indices.clear();
     for _ in 0..filled {
-        let idx = read_varint(body, pos)?;
-        let idx = usize::try_from(idx)
+        let idx = usize::try_from(r.varint()?)
             .ok()
             .filter(|&i| i < k)
             .ok_or(CodecError::Malformed("slot index out of range"))?;
-        if std::mem::replace(&mut taken[idx], true) {
-            return Err(CodecError::Malformed("duplicate slot index"));
+        if std::mem::replace(&mut cols.taken[idx], true) {
+            return Err(CodecError::Malformed("duplicate slot index").into());
         }
-        indices.push(idx);
+        cols.indices.push(idx);
     }
-    for (i, &idx) in indices.iter().enumerate() {
-        let argmin = read_varint(body, pos)?;
+    let mut sketch = VertexSketch::new(k);
+    let slots = sketch.unshared_slots_mut();
+    for (&idx, &hash) in cols.indices.iter().zip(&cols.hashes) {
+        cols.taken[idx] = false;
         slots[idx] = Slot {
-            hash: hashes[i],
-            argmin: VertexId(argmin),
+            hash,
+            argmin: VertexId(r.varint()?),
         };
     }
-    Ok(VertexSketch::from_slots(slots))
+    Ok(sketch)
 }
 
 // ---------------------------------------------------------------------
@@ -676,32 +701,26 @@ fn encode_config(out: &mut Vec<u8>, config: &SketchConfig) -> Result<(), CodecEr
     Ok(())
 }
 
-fn decode_config(body: &[u8], pos: &mut usize) -> Result<SketchConfig, CodecError> {
-    let slots = read_varint(body, pos)?;
+fn decode_config<R: io::Read>(r: &mut EnvelopeReader<R>) -> io::Result<SketchConfig> {
+    let slots = r.varint()?;
     if slots == 0 || slots > MAX_SLOT_COUNT {
-        return Err(CodecError::Malformed("slot count out of range"));
+        return Err(CodecError::Malformed("slot count out of range").into());
     }
     let slots = usize::try_from(slots).map_err(|_| CodecError::TooLarge("slot count"))?;
-    let seed = read_varint(body, pos)?;
-    let Some(&backend) = body.get(*pos) else {
-        return Err(CodecError::Truncated);
-    };
-    *pos += 1;
-    Ok(SketchConfig::with_slots(slots)
-        .seed(seed)
-        .backend(backend_from(u64::from(backend))?))
+    let seed = r.varint()?;
+    let backend = backend_from(u64::from(r.byte()?))?;
+    Ok(SketchConfig::with_slots(slots).seed(seed).backend(backend))
 }
 
 /// Decodes the sorted, delta-encoded vertex-id column.
-fn decode_vertex_column(
-    body: &[u8],
-    pos: &mut usize,
+fn decode_vertex_column<R: io::Read>(
+    r: &mut EnvelopeReader<R>,
     count: usize,
-) -> Result<Vec<VertexId>, CodecError> {
+) -> io::Result<Vec<VertexId>> {
     let mut out = Vec::with_capacity(count);
     let mut prev = 0u64;
     for i in 0..count {
-        let delta = read_varint(body, pos)?;
+        let delta = r.varint()?;
         let id = if i == 0 {
             delta
         } else {
@@ -715,14 +734,14 @@ fn decode_vertex_column(
     Ok(out)
 }
 
-fn read_vertex_count(body: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
-    let count = read_varint(body, pos)?;
+fn read_vertex_count<R: io::Read>(r: &mut EnvelopeReader<R>) -> io::Result<usize> {
+    let count = r.varint()?;
     // Every vertex costs at least two body bytes (id delta + degree or
     // sketch header); a count beyond the remaining bytes is corrupt.
-    if count > body.len().saturating_sub(*pos) as u64 {
-        return Err(CodecError::Malformed("vertex count exceeds body"));
+    if count > r.body_left {
+        return Err(CodecError::Malformed("vertex count exceeds body").into());
     }
-    usize::try_from(count).map_err(|_| CodecError::TooLarge("vertex count"))
+    Ok(usize::try_from(count).map_err(|_| CodecError::TooLarge("vertex count"))?)
 }
 
 /// Encoder output gathered into chunks of about [`Chunks::SIZE`] bytes
@@ -793,33 +812,235 @@ fn encode_store_snapshot_body(snap: &StoreSnapshot) -> io::Result<Vec<u8>> {
     Ok(body)
 }
 
-fn decode_store_snapshot_body(body: &[u8]) -> Result<StoreSnapshot, CodecError> {
-    let mut pos = 0;
-    let config = decode_config(body, &mut pos)?;
-    let edges_processed = read_varint(body, &mut pos)?;
-    let count = read_vertex_count(body, &mut pos)?;
-    let ids = decode_vertex_column(body, &mut pos, count)?;
+fn decode_store_snapshot_body<R: io::Read>(r: &mut EnvelopeReader<R>) -> io::Result<StoreSnapshot> {
+    let config = decode_config(r)?;
+    let edges_processed = r.varint()?;
+    let count = read_vertex_count(r)?;
+    let ids = decode_vertex_column(r, count)?;
     let mut degrees = Vec::with_capacity(count);
     for _ in 0..count {
-        degrees.push(read_varint(body, &mut pos)?);
+        degrees.push(r.varint()?);
     }
+    let mut cols = SketchColumns::new(config.slots());
     let mut vertices = Vec::with_capacity(count);
     for (vertex, degree) in ids.into_iter().zip(degrees) {
-        let sketch = decode_sketch(body, &mut pos, config.slots())?;
         vertices.push(VertexEntry {
             vertex,
-            sketch,
+            sketch: decode_sketch(r, &mut cols)?,
             degree,
         });
     }
-    if pos != body.len() {
-        return Err(CodecError::Malformed("trailing bytes after snapshot"));
+    if r.body_left != 0 {
+        return Err(CodecError::Malformed("trailing bytes after snapshot").into());
     }
     Ok(StoreSnapshot {
         config,
         edges_processed,
         vertices,
     })
+}
+
+/// Bytes a streamed envelope read pulls from its source at a time.
+const READ_CHUNK: usize = 64 << 10;
+
+/// One v3 envelope read from a byte source in `READ_CHUNK` pieces.
+/// The body decoder reads through [`Self::varint`] and [`Self::byte`],
+/// which stop at the declared body length; every byte between the magic
+/// and the trailer folds into the CRC that [`Self::finish`] checks.
+struct EnvelopeReader<R> {
+    src: R,
+    buf: Box<[u8]>,
+    /// Next unread byte of `buf`.
+    pos: usize,
+    /// End of the bytes `buf` holds.
+    end: usize,
+    /// Start of the read bytes not yet folded into `crc`.
+    crc_from: usize,
+    crc: Crc32,
+    /// Body bytes not yet read.
+    body_left: u64,
+}
+
+impl<R: io::Read> EnvelopeReader<R> {
+    /// Opens the envelope `src` holds, `len` bytes in all: checks the
+    /// magic, the version, that the mode is `mode`, and that the
+    /// declared body plus trailer fill exactly the rest of `len`.
+    fn open(src: R, len: u64, mode: u8) -> io::Result<Self> {
+        let mut r = Self {
+            src,
+            buf: vec![0; READ_CHUNK].into_boxed_slice(),
+            pos: 0,
+            end: 0,
+            crc_from: 0,
+            crc: Crc32::new(),
+            body_left: 0,
+        };
+        for want in BINARY_MAGIC {
+            if r.next()? != want {
+                return Err(CodecError::BadMagic.into());
+            }
+        }
+        // The CRC starts after the magic (a short first read may have
+        // folded some of it in already).
+        r.crc = Crc32::new();
+        r.crc_from = r.pos;
+        let version = r.next()?;
+        if version != BINARY_VERSION {
+            return Err(CodecError::BadVersion(version).into());
+        }
+        let found = r.next()?;
+        if found != mode {
+            return Err(CodecError::BadMode(found).into());
+        }
+        let head_len = BINARY_MAGIC.len() as u64 + 2;
+        let (body_len, varint_len) = r.raw_varint()?;
+        if body_len > MAX_BODY_LEN {
+            return Err(CodecError::TooLarge("record body length").into());
+        }
+        let record_len = head_len + varint_len as u64 + body_len + 4;
+        if record_len > len {
+            return Err(CodecError::Truncated.into());
+        }
+        if record_len < len {
+            return Err(CodecError::Malformed("trailing bytes after record").into());
+        }
+        r.body_left = body_len;
+        Ok(r)
+    }
+
+    /// The next input byte, refilling the buffer when it runs dry.
+    #[inline]
+    fn next(&mut self) -> io::Result<u8> {
+        if self.pos == self.end {
+            self.refill()?;
+        }
+        self.pos += 1;
+        Ok(self.buf[self.pos - 1])
+    }
+
+    /// Folds the drained buffer into the CRC and reads the next chunk.
+    /// Out of line: the per-byte paths stay small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self) -> io::Result<()> {
+        self.crc.update(&self.buf[self.crc_from..self.pos]);
+        let n = loop {
+            match self.src.read(&mut self.buf) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        if n == 0 {
+            return Err(CodecError::Truncated.into());
+        }
+        (self.pos, self.end, self.crc_from) = (0, n, 0);
+        Ok(())
+    }
+
+    /// One varint and the bytes it took, decoded by [`read_varint`].
+    #[inline]
+    fn raw_varint(&mut self) -> io::Result<(u64, usize)> {
+        let start = self.pos;
+        if self.end - start >= 10 {
+            let value = read_varint(&self.buf[..self.end], &mut self.pos)?;
+            return Ok((value, self.pos - start));
+        }
+        self.straddling_varint()
+    }
+
+    /// A varint that may run past the buffered bytes, read byte by byte.
+    #[cold]
+    #[inline(never)]
+    fn straddling_varint(&mut self) -> io::Result<(u64, usize)> {
+        let mut bytes = [0u8; 10];
+        let mut n = 0;
+        while n < bytes.len() {
+            bytes[n] = self.next()?;
+            n += 1;
+            if bytes[n - 1] & 0x80 == 0 {
+                break;
+            }
+        }
+        Ok((read_varint(&bytes[..n], &mut 0)?, n))
+    }
+
+    /// One body varint.
+    #[inline]
+    fn varint(&mut self) -> io::Result<u64> {
+        let (value, len) = self.raw_varint()?;
+        self.body_left = self
+            .body_left
+            .checked_sub(len as u64)
+            .ok_or(CodecError::Truncated)?;
+        Ok(value)
+    }
+
+    /// One body byte.
+    fn byte(&mut self) -> io::Result<u8> {
+        if self.body_left == 0 {
+            return Err(CodecError::Truncated.into());
+        }
+        self.body_left -= 1;
+        self.next()
+    }
+
+    /// Reads past the rest of the body without decoding it.
+    fn skip_body(&mut self) -> io::Result<()> {
+        while self.body_left > 0 {
+            if self.pos == self.end {
+                self.next()?;
+                self.body_left -= 1;
+            }
+            let take = (self.end - self.pos).min(self.body_left.try_into().unwrap_or(usize::MAX));
+            self.pos += take;
+            self.body_left -= take as u64;
+        }
+        Ok(())
+    }
+
+    /// Checks the CRC trailer against everything read since the magic.
+    /// Call once the body is fully read.
+    fn finish(mut self) -> io::Result<()> {
+        debug_assert_eq!(self.body_left, 0, "finish before the body ends");
+        self.crc.update(&self.buf[self.crc_from..self.pos]);
+        self.crc_from = self.pos;
+        let found = self.crc.finish();
+        let mut trailer = [0u8; 4];
+        for b in &mut trailer {
+            *b = self.next()?;
+        }
+        if u32::from_le_bytes(trailer) != found {
+            return Err(CodecError::BadCrc.into());
+        }
+        Ok(())
+    }
+}
+
+/// Reads the v3 store snapshot `src` holds, whole and nothing else, in
+/// 64 KiB pieces: never more than one chunk of it in memory.
+///
+/// Two passes over the source. The first checks the framing and the CRC
+/// without decoding; the second decodes, checking the CRC again, so no
+/// allocation is ever sized by a length field the CRC has not vouched
+/// for (a flipped bit in the slot-count varint could otherwise ask for
+/// `vertices × k × 16` bytes before the trailer is reached).
+///
+/// # Errors
+/// IO errors from `src`; `InvalidData` (via [`CodecError`]) for any
+/// framing or body defect: wrong magic, version or mode, a body length
+/// past [`MAX_BODY_LEN`] or not matching the source's length, a CRC
+/// mismatch, or a malformed body.
+pub fn read_store_snapshot<R: io::Read + io::Seek>(src: &mut R) -> io::Result<StoreSnapshot> {
+    let len = src.seek(io::SeekFrom::End(0))?;
+    src.rewind()?;
+    let mut pass = EnvelopeReader::open(&mut *src, len, MODE_STORE_SNAPSHOT)?;
+    pass.skip_body()?;
+    pass.finish()?;
+    src.rewind()?;
+    let mut pass = EnvelopeReader::open(&mut *src, len, MODE_STORE_SNAPSHOT)?;
+    let snap = decode_store_snapshot_body(&mut pass)?;
+    pass.finish()?;
+    Ok(snap)
 }
 
 // ---------------------------------------------------------------------
@@ -901,19 +1122,6 @@ impl Codec for TextV2 {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BinaryV3;
 
-impl BinaryV3 {
-    fn decode_expecting(bytes: &[u8], mode: u8) -> Result<&[u8], CodecError> {
-        let env = decode_envelope(bytes)?;
-        if env.mode != mode {
-            return Err(CodecError::BadMode(env.mode));
-        }
-        if env.consumed != bytes.len() {
-            return Err(CodecError::Malformed("trailing bytes after record"));
-        }
-        Ok(env.body)
-    }
-}
-
 impl Codec for BinaryV3 {
     fn name(&self) -> &'static str {
         "v3"
@@ -950,9 +1158,9 @@ impl Codec for BinaryV3 {
         out.write_all(&crc.finish().to_le_bytes())
     }
 
+    /// [`read_store_snapshot`] over the slice.
     fn decode_store_snapshot(&self, bytes: &[u8]) -> io::Result<StoreSnapshot> {
-        let body = Self::decode_expecting(bytes, MODE_STORE_SNAPSHOT)?;
-        Ok(decode_store_snapshot_body(body)?)
+        read_store_snapshot(&mut io::Cursor::new(bytes))
     }
 
     fn encode_wal_record(&self, entry: &JournalEntry) -> Vec<u8> {
@@ -1294,6 +1502,48 @@ mod tests {
         let snap = StoreSnapshot::capture(&SketchStore::new(SketchConfig::with_slots(8)));
         let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
         assert_eq!(BinaryV3.decode_store_snapshot(&v3).unwrap(), snap);
+    }
+
+    /// A source that hands out at most `step` bytes per read.
+    struct Trickle<'a> {
+        inner: io::Cursor<&'a [u8]>,
+        step: usize,
+    }
+
+    impl io::Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.step);
+            io::Read::read(&mut self.inner, &mut buf[..n])
+        }
+    }
+
+    impl io::Seek for Trickle<'_> {
+        fn seek(&mut self, pos: io::SeekFrom) -> io::Result<u64> {
+            io::Seek::seek(&mut self.inner, pos)
+        }
+    }
+
+    #[test]
+    fn streamed_snapshot_read_survives_short_reads() {
+        // Short reads split the magic, varints and the trailer across
+        // refills; the decode and the CRC must not notice.
+        let snap = populated_snapshot();
+        let bytes = BinaryV3.encode_store_snapshot(&snap).unwrap();
+        for step in [1, 2, 3, 7, 4096] {
+            let mut src = Trickle {
+                inner: io::Cursor::new(&bytes),
+                step,
+            };
+            assert_eq!(read_store_snapshot(&mut src).unwrap(), snap, "step {step}");
+        }
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 0x04;
+        let mut src = Trickle {
+            inner: io::Cursor::new(&flipped),
+            step: 3,
+        };
+        let err = read_store_snapshot(&mut src).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

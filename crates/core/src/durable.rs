@@ -573,6 +573,82 @@ mod tests {
     }
 
     #[test]
+    fn damaged_v3_generations_fail_closed_and_recovery_falls_back() {
+        // Each damage to the newest generation — a multi-chunk v3 file,
+        // read in 64 KiB pieces — must read as InvalidData naming the
+        // check that caught it; recovery then quarantines it, loads the
+        // older generation and replays to the pre-crash store.
+        fn declare_longer_body(path: &Path) {
+            let bytes = fs::read(path).unwrap();
+            let mut pos = crate::codec::BINARY_MAGIC.len() + 2;
+            let body_len = crate::codec::read_varint(&bytes, &mut pos).unwrap();
+            let mut out = bytes[..crate::codec::BINARY_MAGIC.len() + 2].to_vec();
+            crate::codec::write_varint(&mut out, body_len + 1);
+            out.extend_from_slice(&bytes[pos..]);
+            fs::write(path, out).unwrap();
+        }
+        // (tag, what the error must say, the damage done to the file)
+        type Damage = (&'static str, &'static str, fn(&Path));
+        let damages: [Damage; 4] = [
+            ("bitflip", "CRC mismatch", |p| {
+                chaos::flip_bit(p, 70_000, 2).unwrap();
+            }),
+            ("midsketch", "truncated", |p| {
+                chaos::tear_file(p, 1000).unwrap()
+            }),
+            ("trailing", "trailing bytes", |p| {
+                chaos::append_garbage(p, b"\0\0\0\0").unwrap();
+            }),
+            ("longbody", "truncated", declare_longer_body),
+        ];
+        let edges: Vec<_> = BarabasiAlbert::new(2500, 3, 21).edges().collect();
+        let cut = edges.len() / 2;
+        for (tag, check, damage) in damages {
+            let dir = temp_dir(tag);
+            let mut store = SketchStore::new(cfg());
+            let mut journal = Journal::create_with_format(
+                &dir,
+                1,
+                FsyncPolicy::Never,
+                WireFormat::BinaryV3,
+                None,
+            )
+            .unwrap();
+            for e in &edges[..cut] {
+                ingest(&mut store, &mut journal, e.src.0, e.dst.0);
+            }
+            run_checkpoint(&store, &dir, &mut journal, DEFAULT_SNAPSHOT_KEEP);
+            for e in &edges[cut..] {
+                ingest(&mut store, &mut journal, e.src.0, e.dst.0);
+            }
+            run_checkpoint(&store, &dir, &mut journal, DEFAULT_SNAPSHOT_KEEP);
+            drop(journal);
+
+            let newest = generation_path(&dir, edges.len() as u64);
+            assert!(fs::metadata(&newest).unwrap().len() > 2 * 65_536);
+            damage(&newest);
+            let err = StoreSnapshot::read_from(&newest).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{tag}: {err}");
+            assert!(err.to_string().contains(check), "{tag}: {err}");
+
+            let rec = recover(&dir, cfg()).unwrap();
+            assert_eq!(rec.fallbacks, 1, "{tag}");
+            assert_eq!(rec.snapshot_seq, cut as u64, "{tag}");
+            assert_eq!(rec.journal.replayed, (edges.len() - cut) as u64, "{tag}");
+            assert_eq!(
+                StoreSnapshot::capture(&rec.store),
+                StoreSnapshot::capture(&store),
+                "{tag}"
+            );
+            assert!(dir
+                .join(QUARANTINE_DIR)
+                .join(newest.file_name().unwrap())
+                .exists());
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
     fn all_generations_corrupt_falls_back_to_journal_replay() {
         // The old behavior was a hard error; self-healing recovery keeps
         // every acked edge by replaying the full WAL instead.

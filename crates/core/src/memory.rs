@@ -4,7 +4,7 @@
 //! degree and stream length* — is proven offline by experiment E7. This
 //! module makes it observable on a running server: [`MemoryReport`]
 //! walks every resident component the serving stack owns (sketch slot
-//! arrays, the two store hash maps, journal write buffer, trace ring,
+//! arrays, the store's vertex map, journal write buffer, trace ring,
 //! event-journal ring, audit shadow sets), sums a deterministic
 //! capacity model for each, and
 //! publishes the result into the `mem.*` gauges — including the live

@@ -8,8 +8,7 @@
 //! as no edge is delivered to two shards (that would double-count
 //! degrees; slots themselves would still be correct).
 
-use crate::sketch::VertexSketch;
-use crate::store::SketchStore;
+use crate::store::{SketchStore, VertexState};
 
 /// Why two stores could not be merged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,16 +78,12 @@ pub fn merge_into(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
     // `dst` and `src` are distinct objects (`&mut` + `&`), so the
     // mutable view of one and the shared view of the other coexist:
     // merge straight out of `src` with zero transient allocation.
-    let (src_sketches, src_degrees, src_edges) = src.parts();
-    let (dst_sketches, dst_degrees, dst_edges) = dst.parts_mut();
-    for (&v, s) in src_sketches {
-        dst_sketches
-            .entry(v)
-            .or_insert_with(|| VertexSketch::new(k))
-            .merge(s);
-    }
-    for (&v, &d) in src_degrees {
-        *dst_degrees.entry(v).or_insert(0) += d;
+    let (src_states, src_edges) = src.parts();
+    let (dst_states, dst_edges) = dst.parts_mut();
+    for (&v, s) in src_states {
+        let d = dst_states.entry(v).or_insert_with(|| VertexState::new(k));
+        d.sketch.merge(&s.sketch);
+        d.degree += s.degree;
     }
     *dst_edges += src_edges;
     let m = crate::metrics::global();
@@ -120,17 +115,12 @@ pub fn merge_join(dst: &mut SketchStore, src: &SketchStore) -> Result<(), MergeE
     let _t = crate::trace::op("merge_join");
     let start = std::time::Instant::now();
     let k = dst.config().slots();
-    let (src_sketches, src_degrees, src_edges) = src.parts();
-    let (dst_sketches, dst_degrees, dst_edges) = dst.parts_mut();
-    for (&v, s) in src_sketches {
-        dst_sketches
-            .entry(v)
-            .or_insert_with(|| VertexSketch::new(k))
-            .merge(s);
-    }
-    for (&v, &d) in src_degrees {
-        let slot = dst_degrees.entry(v).or_insert(0);
-        *slot = (*slot).max(d);
+    let (src_states, src_edges) = src.parts();
+    let (dst_states, dst_edges) = dst.parts_mut();
+    for (&v, s) in src_states {
+        let d = dst_states.entry(v).or_insert_with(|| VertexState::new(k));
+        d.sketch.merge(&s.sketch);
+        d.degree = d.degree.max(s.degree);
     }
     *dst_edges = (*dst_edges).max(src_edges);
     let m = crate::metrics::global();

@@ -304,6 +304,10 @@ pub struct Metrics {
     pub checkpoint_failures: Counter,
     /// Whole-checkpoint latency.
     pub checkpoint_latency: LatencyHistogram,
+    /// How long a checkpoint holds the store lock and the persist mutex
+    /// together (snapshot capture + journal rotation): the pause
+    /// writers see.
+    pub checkpoint_capture_pause: LatencyHistogram,
     /// Protocol commands executed (any result).
     pub server_commands: Counter,
     /// Protocol commands answered with `ERR`.
@@ -474,6 +478,7 @@ impl Metrics {
             checkpoints: Counter::new(),
             checkpoint_failures: Counter::new(),
             checkpoint_latency: LatencyHistogram::new(),
+            checkpoint_capture_pause: LatencyHistogram::new(),
             server_commands: Counter::new(),
             server_command_errors: Counter::new(),
             server_inserts: Counter::new(),
@@ -682,6 +687,10 @@ impl Metrics {
                 ),
                 ("checkpoint.latency_ns", self.checkpoint_latency.summary()),
                 (
+                    "checkpoint.capture_pause_ns",
+                    self.checkpoint_capture_pause.summary(),
+                ),
+                (
                     "server.command_latency_ns",
                     self.server_command_latency.summary(),
                 ),
@@ -781,6 +790,7 @@ impl Metrics {
             &self.shard_latency,
             &self.journal_append_latency,
             &self.checkpoint_latency,
+            &self.checkpoint_capture_pause,
             &self.server_command_latency,
             &self.serve_phase_parse,
             &self.serve_phase_execute,

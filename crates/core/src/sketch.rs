@@ -1,5 +1,7 @@
 //! The per-vertex MinHash sketch.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use graphstream::VertexId;
@@ -50,9 +52,15 @@ impl Slot {
 ///
 /// Exactly `k` slots, allocated once at first sight of the vertex — the
 /// "constant space per vertex" in the paper's claim.
+///
+/// The slots are shared copy-on-write: `clone` copies a pointer, and a
+/// write ([`Self::fold_neighbor`], [`Self::merge`]) copies the slots
+/// only while another clone still holds them. A checkpoint's capture
+/// therefore costs a pointer per vertex, and a writer pays one slot copy
+/// per sketch it changes while that capture is alive.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VertexSketch {
-    slots: Box<[Slot]>,
+    slots: Arc<[Slot]>,
 }
 
 impl VertexSketch {
@@ -60,15 +68,15 @@ impl VertexSketch {
     #[must_use]
     pub fn new(k: usize) -> Self {
         Self {
-            slots: vec![Slot::EMPTY; k].into_boxed_slice(),
+            slots: std::iter::repeat_n(Slot::EMPTY, k).collect(),
         }
     }
 
-    /// Builds a sketch directly from slot state (the binary codec's
-    /// decode path; validation happens in the codec).
-    #[must_use]
-    pub(crate) fn from_slots(slots: Box<[Slot]>) -> Self {
-        Self { slots }
+    /// Mutable access to the slots of a sketch built by [`Self::new`]
+    /// and not yet cloned (the binary codec's decode path fills them in
+    /// place; validation happens in the codec).
+    pub(crate) fn unshared_slots_mut(&mut self) -> &mut [Slot] {
+        Arc::get_mut(&mut self.slots).expect("a fresh sketch is unshared")
     }
 
     /// Number of slots.
@@ -95,14 +103,19 @@ impl VertexSketch {
     /// Folds a neighbor into every slot. `hashes[i]` must be `h_i(neighbor)`.
     ///
     /// This is the per-edge hot path: one branch and at most one 16-byte
-    /// write per slot.
+    /// write per slot. A fold that lowers no slot writes nothing, so it
+    /// never copies slots a checkpoint still shares.
     ///
     /// # Panics
     /// Panics if `hashes.len() != self.len()`.
     #[inline]
     pub fn fold_neighbor(&mut self, hashes: &[u64], neighbor: VertexId) {
         assert_eq!(hashes.len(), self.slots.len(), "hash count != slot count");
-        for (slot, &h) in self.slots.iter_mut().zip(hashes) {
+        let Some(first) = self.slots.iter().zip(hashes).position(|(s, &h)| h < s.hash) else {
+            return;
+        };
+        let slots = Arc::make_mut(&mut self.slots);
+        for (slot, &h) in slots[first..].iter_mut().zip(&hashes[first..]) {
             slot.fold(h, neighbor);
         }
     }
@@ -148,7 +161,8 @@ impl VertexSketch {
     ///
     /// After `a.merge(&b)`, `a` is exactly the sketch that would have been
     /// produced by folding both neighbor sets — the property that makes
-    /// sharded ingestion exact.
+    /// sharded ingestion exact. Like [`Self::fold_neighbor`], a merge
+    /// that lowers no slot copies nothing.
     ///
     /// # Panics
     /// Panics if widths differ.
@@ -158,19 +172,31 @@ impl VertexSketch {
             other.len(),
             "cannot merge sketches of different width"
         );
-        for (a, b) in self.slots.iter_mut().zip(other.slots.iter()) {
+        let mut pairs = self.slots.iter().zip(other.slots.iter());
+        let Some(first) = pairs.position(|(a, b)| b.hash < a.hash) else {
+            return;
+        };
+        let slots = Arc::make_mut(&mut self.slots);
+        for (a, b) in slots[first..].iter_mut().zip(&other.slots[first..]) {
             if b.hash < a.hash {
                 *a = *b;
             }
         }
     }
 
-    /// Resident bytes of this sketch (slots only; the store-level
-    /// [`crate::store::SketchStore::memory_bytes`] adds map overhead on
-    /// top of the per-sketch sums).
+    /// Heap bytes of one `k`-slot sketch: the slots plus the shared
+    /// allocation's two reference counts.
+    #[must_use]
+    pub fn heap_bytes(k: usize) -> usize {
+        k * std::mem::size_of::<Slot>() + 2 * std::mem::size_of::<usize>()
+    }
+
+    /// Resident bytes of this sketch: [`Self::heap_bytes`] of its width
+    /// (the store-level [`crate::store::SketchStore::memory_bytes`] adds
+    /// map overhead on top of the per-sketch sums).
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
+        Self::heap_bytes(self.slots.len())
     }
 
     /// Number of slots that have absorbed at least one neighbor hash.
@@ -305,7 +331,7 @@ mod tests {
     fn memory_is_slot_proportional() {
         assert_eq!(
             VertexSketch::new(10).memory_bytes(),
-            10 * std::mem::size_of::<Slot>()
+            10 * std::mem::size_of::<Slot>() + 2 * std::mem::size_of::<usize>()
         );
         assert!(VertexSketch::new(100).memory_bytes() > VertexSketch::new(10).memory_bytes());
     }

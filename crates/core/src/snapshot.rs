@@ -37,7 +37,7 @@
 //! so v1, v2 and v3 files all load through [`StoreSnapshot::read_from`].
 
 use std::fs::{self, File};
-use std::io;
+use std::io::{self, Read, Seek};
 use std::path::Path;
 
 use hashkit::crc32;
@@ -45,10 +45,10 @@ use serde::{Deserialize, Serialize};
 
 use graphstream::VertexId;
 
-use crate::codec::{self, Codec};
+use crate::codec;
 use crate::config::SketchConfig;
 use crate::sketch::VertexSketch;
-use crate::store::SketchStore;
+use crate::store::{SketchStore, VertexState};
 
 /// The magic prefix of a v2 snapshot header line.
 pub const SNAPSHOT_MAGIC: &str = "STREAMLINK-SNAP";
@@ -203,19 +203,24 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    /// Captures a snapshot of `store`.
+    /// Captures a snapshot of `store`. Sketches are copy-on-write, so
+    /// this copies one pointer (and a degree) per vertex, not its slots;
+    /// later writes to `store` copy whatever sketch they change and
+    /// never reach the snapshot.
     #[must_use]
     pub fn capture(store: &SketchStore) -> Self {
-        let (sketches, degrees, edges_processed) = store.parts();
-        let mut vertices: Vec<VertexEntry> = sketches
+        let (states, edges_processed) = store.parts();
+        let mut vertices: Vec<VertexEntry> = states
             .iter()
-            .map(|(&vertex, sketch)| VertexEntry {
+            .map(|(&vertex, state)| VertexEntry {
                 vertex,
-                sketch: sketch.clone(),
-                degree: degrees.get(&vertex).copied().unwrap_or(0),
+                sketch: state.sketch.clone(),
+                degree: state.degree,
             })
             .collect();
-        vertices.sort_by_key(|e| e.vertex);
+        // Vertex ids are unique, so the unstable sort is deterministic
+        // and needs no scratch buffer.
+        vertices.sort_unstable_by_key(|e| e.vertex);
         Self {
             config: *store.config(),
             edges_processed,
@@ -229,10 +234,14 @@ impl StoreSnapshot {
     pub fn restore(self) -> SketchStore {
         let mut store = SketchStore::new(self.config);
         {
-            let (sketches, degrees, edges) = store.parts_mut();
+            let (states, edges) = store.parts_mut();
+            states.reserve(self.vertices.len());
             for entry in self.vertices {
-                sketches.insert(entry.vertex, entry.sketch);
-                degrees.insert(entry.vertex, entry.degree);
+                let state = VertexState {
+                    sketch: entry.sketch,
+                    degree: entry.degree,
+                };
+                states.insert(entry.vertex, state);
             }
             *edges = self.edges_processed;
         }
@@ -274,22 +283,43 @@ impl StoreSnapshot {
 
     /// Like [`Self::read_from`], also reporting what the framing check
     /// proved. Binary v3 snapshots always verify (the envelope CRC is
-    /// mandatory); text snapshots report v2 verified or v1 legacy.
+    /// mandatory) and stream from the file in chunks
+    /// ([`codec::read_store_snapshot`]), so the file is never held whole
+    /// beside the decoded sketches; text snapshots report v2 verified or
+    /// v1 legacy.
     ///
     /// # Errors
     /// Fails if the file is missing or does not verify.
     pub fn read_with_integrity(path: &Path) -> io::Result<(Self, SnapshotIntegrity)> {
-        let bytes = fs::read(path)?;
-        if codec::is_binary(&bytes) {
-            let snap = codec::BinaryV3
-                .decode_store_snapshot(&bytes)
-                .map_err(|e| rewrap(e, path))?;
+        let mut file = File::open(path)?;
+        if sniff_binary(&mut file)? {
+            let snap = codec::read_store_snapshot(&mut file).map_err(|e| rewrap(e, path))?;
             return Ok((snap, SnapshotIntegrity::Verified));
         }
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
         let (payload, integrity) = verify_text(&bytes).map_err(|e| rewrap(e, path))?;
         let snap = serde_json::from_str(payload).map_err(|e| corrupt(path, &e.to_string()))?;
         Ok((snap, integrity))
     }
+}
+
+/// Whether the snapshot file at `path` is binary v3 (by its magic).
+///
+/// # Errors
+/// Fails if the file cannot be opened or read.
+pub fn is_binary_file(path: &Path) -> io::Result<bool> {
+    sniff_binary(&mut File::open(path)?)
+}
+
+/// Reads `file`'s magic and rewinds it.
+fn sniff_binary(file: &mut File) -> io::Result<bool> {
+    let mut head = Vec::with_capacity(codec::BINARY_MAGIC.len());
+    file.by_ref()
+        .take(codec::BINARY_MAGIC.len() as u64)
+        .read_to_end(&mut head)?;
+    file.rewind()?;
+    Ok(codec::is_binary(&head))
 }
 
 #[cfg(test)]
@@ -346,6 +376,49 @@ mod tests {
         for v in whole.vertices() {
             assert_eq!(resumed.sketch(v), whole.sketch(v), "divergence at {v}");
             assert_eq!(resumed.degree(v), whole.degree(v));
+        }
+    }
+
+    #[test]
+    fn capture_is_isolated_from_later_folds_and_merges() {
+        use crate::codec::{BinaryV3, Codec};
+        let mut live = populated();
+        let mut reference = populated();
+        let snap = StoreSnapshot::capture(&live);
+        // A deep copy: JSON round trip allocates every sketch afresh.
+        let deep: StoreSnapshot =
+            serde_json::from_str(&serde_json::to_string(&snap).unwrap()).unwrap();
+        let v3 = BinaryV3.encode_store_snapshot(&snap).unwrap();
+
+        // Writes after the capture: folds into captured and new
+        // vertices, then a merge over them.
+        let extra: Vec<_> = BarabasiAlbert::new(300, 3, 11).edges().collect();
+        let mut shard = SketchStore::new(*live.config());
+        shard.insert_stream(BarabasiAlbert::new(200, 2, 12).edges());
+        for store in [&mut live, &mut reference] {
+            store.insert_stream(extra.iter().copied());
+            crate::merge::merge_into(store, &shard).unwrap();
+        }
+
+        assert_eq!(snap, deep, "a later write reached the capture");
+        assert_eq!(BinaryV3.encode_store_snapshot(&snap).unwrap(), v3);
+        assert_ne!(StoreSnapshot::capture(&live), snap, "the store moved on");
+        // The live store answers like one that was never captured.
+        assert_eq!(
+            StoreSnapshot::capture(&live),
+            StoreSnapshot::capture(&reference)
+        );
+        for u in 0..40u64 {
+            for v in (u + 1)..40u64 {
+                let (u, v) = (VertexId(u), VertexId(v));
+                assert_eq!(live.jaccard(u, v), reference.jaccard(u, v));
+                assert_eq!(live.adamic_adar(u, v), reference.adamic_adar(u, v));
+            }
+        }
+        // And the capture still restores the store it was taken from.
+        let (restored, original) = (snap.restore(), populated());
+        for v in original.vertices() {
+            assert_eq!(restored.sketch(v), original.sketch(v));
         }
     }
 
@@ -439,7 +512,7 @@ mod tests {
 
     #[test]
     fn streamed_v3_file_equals_the_encoded_snapshot() {
-        use crate::codec::{BinaryV3, WireFormat};
+        use crate::codec::{BinaryV3, Codec, WireFormat};
         let path = temp_path("v3stream");
         // Large enough that the body streams out in several chunks.
         let mut store = SketchStore::new(SketchConfig::with_slots(32).seed(5));

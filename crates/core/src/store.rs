@@ -14,11 +14,14 @@ use crate::sketch::VertexSketch;
 /// is exactly [`SketchStore::memory_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreMemory {
-    /// Slot arrays of every resident sketch (`vertices × k × 16`).
+    /// Slot arrays of every resident sketch, each with its shared
+    /// allocation's two reference counts (`vertices × (k × 16 + 16)`).
     pub sketch_slot_bytes: usize,
-    /// Sketch hash-map overhead (capacity × entry + control bytes).
+    /// Vertex hash-map overhead (capacity × (id + sketch pointer) plus
+    /// control bytes).
     pub sketch_map_bytes: usize,
-    /// Degree-counter hash-map overhead.
+    /// The degree counters: one word in each vertex-map entry
+    /// (capacity × 8).
     pub degree_map_bytes: usize,
     /// Fixed struct size plus the reused per-edge hash scratch buffers.
     pub fixed_bytes: usize,
@@ -38,8 +41,10 @@ impl StoreMemory {
 /// * **Constant time per edge** — [`SketchStore::insert_edge`] does `2k`
 ///   hash evaluations and `2k` slot folds, nothing else; no allocation
 ///   after the two touched sketches exist.
-/// * **Constant space per vertex** — `k` 16-byte slots plus one degree
-///   word, independent of the vertex's degree or the stream length.
+/// * **Constant space per vertex** — `k` 16-byte slots (one shared
+///   allocation with a 16-byte reference-count header) plus one degree
+///   word beside the sketch pointer in the vertex map, independent of
+///   the vertex's degree or the stream length.
 ///
 /// ## Stream contract
 ///
@@ -57,8 +62,7 @@ impl StoreMemory {
 pub struct SketchStore {
     config: SketchConfig,
     bank: HasherBank,
-    sketches: HashMap<VertexId, VertexSketch>,
-    degrees: HashMap<VertexId, u64>,
+    vertices: HashMap<VertexId, VertexState>,
     edges_processed: u64,
     // Reused per-edge scratch: no allocation on the hot path.
     scratch_u: Vec<u64>,
@@ -74,8 +78,7 @@ impl SketchStore {
         Self {
             config,
             bank,
-            sketches: HashMap::new(),
-            degrees: HashMap::new(),
+            vertices: HashMap::new(),
             edges_processed: 0,
             scratch_u: vec![0; k],
             scratch_v: vec![0; k],
@@ -114,17 +117,18 @@ impl SketchStore {
         self.bank.hash_all_into(u.0, &mut self.scratch_u);
         self.bank.hash_all_into(v.0, &mut self.scratch_v);
 
-        self.sketches
+        let state_u = self
+            .vertices
             .entry(u)
-            .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_v, v);
-        self.sketches
+            .or_insert_with(|| VertexState::new(k));
+        state_u.sketch.fold_neighbor(&self.scratch_v, v);
+        state_u.degree += 1;
+        let state_v = self
+            .vertices
             .entry(v)
-            .or_insert_with(|| VertexSketch::new(k))
-            .fold_neighbor(&self.scratch_u, u);
-
-        *self.degrees.entry(u).or_insert(0) += 1;
-        *self.degrees.entry(v).or_insert(0) += 1;
+            .or_insert_with(|| VertexState::new(k));
+        state_v.sketch.fold_neighbor(&self.scratch_u, u);
+        state_v.degree += 1;
     }
 
     /// Processes a whole stream (or stream prefix).
@@ -139,7 +143,7 @@ impl SketchStore {
     #[must_use]
     pub fn jaccard(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.jaccard");
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         Some(estimators::jaccard_from_matches(
             su.match_count(sv),
             self.config.slots(),
@@ -164,7 +168,7 @@ impl SketchStore {
     #[must_use]
     pub fn adamic_adar(&self, u: VertexId, v: VertexId) -> Option<f64> {
         let _t = crate::trace::child("estimate.adamic_adar");
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         let matches = su.match_count(sv);
         let j = estimators::jaccard_from_matches(matches, self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
@@ -177,7 +181,7 @@ impl SketchStore {
     /// weight `1/d` instead of `1/ln d`.
     #[must_use]
     pub fn resource_allocation(&self, u: VertexId, v: VertexId) -> Option<f64> {
-        let (su, sv) = (self.sketches.get(&u)?, self.sketches.get(&v)?);
+        let (su, sv) = (self.sketch(u)?, self.sketch(v)?);
         let matches = su.match_count(sv);
         let j = estimators::jaccard_from_matches(matches, self.config.slots());
         let cn = estimators::cn_from_jaccard(j, self.degree(u), self.degree(v));
@@ -229,25 +233,25 @@ impl SketchStore {
     #[inline]
     #[must_use]
     pub fn degree(&self, v: VertexId) -> u64 {
-        self.degrees.get(&v).copied().unwrap_or(0)
+        self.vertices.get(&v).map_or(0, |state| state.degree)
     }
 
     /// Whether `v` has appeared in the stream.
     #[must_use]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.sketches.contains_key(&v)
+        self.vertices.contains_key(&v)
     }
 
     /// The sketch of `v`, if seen.
     #[must_use]
     pub fn sketch(&self, v: VertexId) -> Option<&VertexSketch> {
-        self.sketches.get(&v)
+        self.vertices.get(&v).map(|state| &state.sketch)
     }
 
     /// Number of distinct vertices observed.
     #[must_use]
     pub fn vertex_count(&self) -> usize {
-        self.sketches.len()
+        self.vertices.len()
     }
 
     /// Total edges processed (including ignored self-loops).
@@ -258,7 +262,7 @@ impl SketchStore {
 
     /// Iterates over observed vertices.
     pub fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.sketches.keys().copied()
+        self.vertices.keys().copied()
     }
 
     /// The configuration this store was built with.
@@ -288,42 +292,41 @@ impl SketchStore {
     #[must_use]
     pub fn memory_breakdown(&self) -> StoreMemory {
         use std::mem::size_of;
-        let slot_bytes_per_sketch = self.config.slots() * size_of::<crate::sketch::Slot>();
+        let capacity = self.vertices.capacity();
         StoreMemory {
-            sketch_slot_bytes: self.sketches.len() * slot_bytes_per_sketch,
-            sketch_map_bytes: self.sketches.capacity()
-                * (size_of::<(VertexId, VertexSketch)>() + size_of::<u64>()),
-            degree_map_bytes: self.degrees.capacity()
-                * (size_of::<(VertexId, u64)>() + size_of::<u64>()),
+            sketch_slot_bytes: self.vertices.len() * VertexSketch::heap_bytes(self.config.slots()),
+            sketch_map_bytes: capacity * (size_of::<(VertexId, VertexSketch)>() + size_of::<u64>()),
+            degree_map_bytes: capacity * size_of::<u64>(),
             fixed_bytes: size_of::<Self>()
                 + (self.scratch_u.capacity() + self.scratch_v.capacity()) * size_of::<u64>(),
         }
     }
 
     /// Internal access for the merge module.
-    pub(crate) fn parts_mut(
-        &mut self,
-    ) -> (
-        &mut HashMap<VertexId, VertexSketch>,
-        &mut HashMap<VertexId, u64>,
-        &mut u64,
-    ) {
-        (
-            &mut self.sketches,
-            &mut self.degrees,
-            &mut self.edges_processed,
-        )
+    pub(crate) fn parts_mut(&mut self) -> (&mut HashMap<VertexId, VertexState>, &mut u64) {
+        (&mut self.vertices, &mut self.edges_processed)
     }
 
     /// Internal read access for the merge/snapshot modules.
-    pub(crate) fn parts(
-        &self,
-    ) -> (
-        &HashMap<VertexId, VertexSketch>,
-        &HashMap<VertexId, u64>,
-        u64,
-    ) {
-        (&self.sketches, &self.degrees, self.edges_processed)
+    pub(crate) fn parts(&self) -> (&HashMap<VertexId, VertexState>, u64) {
+        (&self.vertices, self.edges_processed)
+    }
+}
+
+/// One vertex's entry in the store: its sketch and its degree counter,
+/// kept in one map so an edge endpoint costs one probe.
+#[derive(Debug, Clone)]
+pub(crate) struct VertexState {
+    pub(crate) sketch: VertexSketch,
+    pub(crate) degree: u64,
+}
+
+impl VertexState {
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            sketch: VertexSketch::new(k),
+            degree: 0,
+        }
     }
 }
 

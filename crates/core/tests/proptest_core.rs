@@ -3,6 +3,7 @@
 
 use graphstream::{Edge, VertexId};
 use proptest::prelude::*;
+use streamlink_core::codec::{BinaryV3, Codec};
 use streamlink_core::journal::JournalEntry;
 use streamlink_core::merge::{merge_into, merge_join};
 use streamlink_core::repl::{divergence, ReplicaApplier};
@@ -158,6 +159,27 @@ proptest! {
         let (a, b) = (VertexId(a), VertexId(b));
         prop_assert_eq!(s.jaccard(a, b), restored.jaccard(a, b));
         prop_assert_eq!(s.adamic_adar(a, b), restored.adamic_adar(a, b));
+    }
+
+    /// A capture is isolated from the inserts after it: split a stream
+    /// at a random point, capture, keep inserting into the same store,
+    /// and the capture still encodes byte-identical to one taken from a
+    /// store fed only the prefix (copy-on-write sketches).
+    #[test]
+    fn capture_is_isolated_from_later_inserts(edges in arb_edges(), cut_frac in 0.0f64..1.0) {
+        let cut = ((edges.len() as f64) * cut_frac) as usize;
+        let mut live = build(&edges[..cut], 16, 5);
+        let captured = StoreSnapshot::capture(&live);
+        live.insert_stream(edges[cut..].iter().copied());
+        let prefix_only = StoreSnapshot::capture(&build(&edges[..cut], 16, 5));
+        prop_assert_eq!(
+            BinaryV3.encode_store_snapshot(&captured).unwrap(),
+            BinaryV3.encode_store_snapshot(&prefix_only).unwrap()
+        );
+        prop_assert_eq!(
+            StoreSnapshot::capture(&live),
+            StoreSnapshot::capture(&build(&edges, 16, 5))
+        );
     }
 
     /// Bottom-k estimates also stay in range and symmetric.

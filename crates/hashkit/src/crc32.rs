@@ -9,19 +9,25 @@
 //! not a cryptographic digest — nothing here defends against an
 //! adversary, only against hardware.
 //!
-//! Implemented from scratch (one 256-entry table, byte-at-a-time) to
-//! honor the workspace's no-external-dependencies constraint. The table
-//! is built in a `const fn`, so the whole thing is allocation-free and
-//! usable from any context.
+//! Implemented from scratch to honor the workspace's
+//! no-external-dependencies constraint, as *slicing-by-8*: eight
+//! 256-entry tables let the loop fold eight input bytes per step with
+//! eight independent lookups instead of eight dependent ones, several
+//! times faster than the classic byte-at-a-time loop (which still
+//! handles the final `len % 8` bytes) and bit-identical to it. The
+//! tables are built in a `const fn`, so the whole thing is
+//! allocation-free and usable from any context.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// One table entry per byte value: the CRC of that single byte.
-const TABLE: [u32; 256] = build_table();
+/// `TABLES[0][b]` is the CRC of the single byte `b`; `TABLES[j][b]` is
+/// that CRC advanced through `j` more zero bytes, so byte `i` of an
+/// 8-byte block is looked up in `TABLES[7 - i]`.
+const TABLES: [[u32; 256]; 8] = build_tables();
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -34,10 +40,20 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
 /// CRC-32 of `bytes` (IEEE: init `!0`, final XOR `!0`).
@@ -91,8 +107,28 @@ impl Crc32 {
 }
 
 fn update(mut state: u32, bytes: &[u8]) -> u32 {
+    let t = &TABLES;
+    let mut blocks = bytes.chunks_exact(8);
+    for block in &mut blocks {
+        let lo = state ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+        let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+        state = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    bytewise(state, blocks.remainder())
+}
+
+/// The classic one-table loop: the tail of [`update`], and the
+/// reference its eight-byte steps are tested against.
+fn bytewise(mut state: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
-        state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
+        state = (state >> 8) ^ TABLES[0][((state ^ u32::from(b)) & 0xFF) as usize];
     }
     state
 }
@@ -140,6 +176,29 @@ mod tests {
             }
         }
         assert_eq!(crc32(&copy), baseline, "copy must be restored");
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_bytewise_reference() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x00C0_FFEE);
+        let data: Vec<u8> = (0..4096).map(|_| rng.gen::<u8>()).collect();
+        let reference = |bytes: &[u8]| !bytewise(!0, bytes);
+        for _ in 0..500 {
+            // Unaligned start, random length (tails of 0..=7 included).
+            let start = rng.gen_range(0..64usize);
+            let len = rng.gen_range(0..data.len() - start);
+            let bytes = &data[start..start + len];
+            let want = reference(bytes);
+            assert_eq!(crc32(bytes), want, "start {start} len {len}");
+            // Chunked at a random split point: same digest.
+            let split = rng.gen_range(0..=len);
+            let mut d = Crc32::new();
+            d.update(&bytes[..split]);
+            d.update(&bytes[split..]);
+            assert_eq!(d.finish(), want, "start {start} len {len} split {split}");
+        }
+        assert_eq!(reference(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]
