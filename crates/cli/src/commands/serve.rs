@@ -20,11 +20,11 @@
 //!                             (mutually exclusive with --data-dir)
 //! --slots N --seed S          sketch shape for a fresh store  (256, 0)
 //! --fsync always|interval|never   journal durability      (interval)
-//! --format v2|v3              storage & wire format for NEW records:
-//!                             v3 checksummed binary, v2 text (the
+//! --format v2|v3              storage format for NEW records: v3
+//!                             checksummed binary, v2 text (the
 //!                             rollback); both formats are always
-//!                             readable on recovery; v3 replicas
-//!                             negotiate binary WAL shipping     (v3)
+//!                             readable on recovery. Replica links
+//!                             always ship v3 envelopes          (v3)
 //! --max-conns N               connection cap, shed `ERR busy`  (1024)
 //! --idle-timeout-ms MS        disconnect quiet clients        (30000)
 //! --drain-secs S              shutdown drain deadline             (5)
@@ -194,15 +194,13 @@ pub fn run(argv: &[String]) -> Result<(), String> {
     };
 
     // Replica flags parse (and validate) regardless of role so typos
-    // fail fast; the runtime only exists with --replicate-from.
+    // fail fast; the runtime only exists on followers.
     let repl_tuning = server::replication::ReplicaTuning {
         pull_batch: flags.get_parsed_or("repl-pull-batch", 4096usize)?,
         poll_interval: Duration::from_millis(flags.get_parsed_or("repl-poll-ms", 100u64)?),
         anti_entropy_every: Duration::from_secs(
             flags.get_parsed_or("repl-anti-entropy-secs", 30u64)?,
         ),
-        wire: format,
-        ..server::replication::ReplicaTuning::default()
     };
     if repl_tuning.pull_batch == 0 {
         return Err("--repl-pull-batch must be positive".into());
@@ -221,7 +219,9 @@ pub fn run(argv: &[String]) -> Result<(), String> {
         .get("repl-id")
         .map_or_else(|| format!("replica-{}", std::process::id()), str::to_string);
 
-    let state = if let Some(peers_raw) = flags.get("peers") {
+    // A follower is a cluster member (`--peers`) or a classic replica of
+    // one fixed primary (`--replicate-from`): (primary, id, cluster).
+    let follower = if let Some(peers_raw) = flags.get("peers") {
         if flags.get("replicate-from").is_some() {
             return Err(
                 "--peers (cluster mode) is mutually exclusive with --replicate-from \
@@ -272,69 +272,21 @@ pub fn run(argv: &[String]) -> Result<(), String> {
             lease: Duration::from_millis(lease_ms),
             bootstrap_primary: flags.get_parsed_or("primary", false)?,
         };
-        let runtime = Arc::new(server::replication::ReplicaRuntime::new(
-            peers[0].clone(),
-            advertise,
-            repl_lag_slo,
-            repl_tuning,
-        ));
-        match flags.get("data-dir") {
-            Some(dir) => {
-                let (persist, recovery) =
-                    persistence::open(Path::new(dir), sketch_config, fsync, format)
-                        .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
-                let local_seq = recovery.next_seq().saturating_sub(1);
-                runtime.seed_applied(local_seq);
-                eprintln!(
-                    "cluster node recovered {} edges from {dir} (local WAL seq {local_seq})",
-                    recovery.store.edges_processed(),
-                );
-                let cluster = Arc::new(
-                    server::failover::ClusterRuntime::new(
-                        &cluster_config,
-                        Some(Path::new(dir)),
-                        local_seq,
-                    )
-                    .map_err(|e| format!("cannot persist cluster state in {dir}: {e}"))?,
-                );
-                ServerState::with_cluster(
-                    recovery.store,
-                    Some(persist),
-                    recovery.snapshot_seq,
-                    config,
-                    runtime,
-                    cluster,
-                )
-            }
-            None => {
-                let cluster = Arc::new(
-                    server::failover::ClusterRuntime::new(&cluster_config, None, 0)
-                        .map_err(|e| format!("cannot initialise cluster state: {e}"))?,
-                );
-                ServerState::with_cluster(
-                    SketchStore::new(sketch_config),
-                    None,
-                    0,
-                    config,
-                    runtime,
-                    cluster,
-                )
-            }
-        }
+        Some((peers[0].clone(), advertise, Some(cluster_config)))
     } else if let Some(primary) = flags.get("replicate-from") {
         if flags.get("snapshot").is_some() {
             return Err("--replicate-from is mutually exclusive with --snapshot \
                  (a replica's state is the primary's, pulled over the wire)"
                 .into());
         }
-        let runtime = Arc::new(server::replication::ReplicaRuntime::new(
-            primary.to_string(),
-            repl_id,
-            repl_lag_slo,
-            repl_tuning,
-        ));
-        match flags.get("data-dir") {
-            // A durable replica journals what it applies and resumes
+        Some((primary.to_string(), repl_id, None))
+    } else {
+        None
+    };
+
+    let state = if let Some((primary, id, cluster_config)) = follower {
+        let (store, persist, snapshot_seq, local_seq) = match flags.get("data-dir") {
+            // A durable follower journals what it applies and resumes
             // from its own disk seq after a restart instead of
             // re-pulling the world from the primary.
             Some(dir) => {
@@ -342,24 +294,40 @@ pub fn run(argv: &[String]) -> Result<(), String> {
                     persistence::open(Path::new(dir), sketch_config, fsync, format)
                         .map_err(|e| format!("cannot open data dir {dir}: {e}"))?;
                 let local_seq = recovery.next_seq().saturating_sub(1);
-                runtime.seed_applied(local_seq);
                 eprintln!(
-                    "replica recovered {} edges from {dir}, resuming pulls after seq {local_seq}",
+                    "follower recovered {} edges from {dir}, resuming pulls after seq {local_seq}",
                     recovery.store.edges_processed(),
                 );
-                ServerState::durable_replica(
+                (
                     recovery.store,
-                    persist,
+                    Some(persist),
                     recovery.snapshot_seq,
-                    config,
-                    runtime,
+                    local_seq,
                 )
             }
-            // The fresh store's shape is provisional: the handshake
-            // adopts the primary's slots/seed/backend while the store
-            // is empty.
-            None => ServerState::replica(SketchStore::new(sketch_config), config, runtime),
-        }
+            // The fresh store's shape is provisional: the hello adopts
+            // the primary's slots/seed/backend while the store is empty.
+            None => (SketchStore::new(sketch_config), None, 0, 0),
+        };
+        let runtime = Arc::new(server::replication::ReplicaRuntime::new(
+            primary,
+            id,
+            repl_lag_slo,
+            repl_tuning,
+        ));
+        runtime.seed_applied(local_seq);
+        let cluster = match cluster_config {
+            Some(cluster_config) => Some(Arc::new(
+                server::failover::ClusterRuntime::new(
+                    &cluster_config,
+                    flags.get("data-dir").map(Path::new),
+                    local_seq,
+                )
+                .map_err(|e| format!("cannot persist cluster state: {e}"))?,
+            )),
+            None => None,
+        };
+        ServerState::follower(store, persist, snapshot_seq, config, runtime, cluster)
     } else {
         match (flags.get("data-dir"), flags.get("snapshot")) {
             (Some(_), Some(_)) => {

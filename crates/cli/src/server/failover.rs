@@ -3,11 +3,15 @@
 //!
 //! The decision logic — who may write, who may be elected, which vote
 //! to grant — lives in [`streamlink_core::failover`] as a pure state
-//! machine. This module wires it to the wire:
+//! machine. The follower thread is the one every replica runs
+//! ([`super::replication::follower_loop`]); with `--peers` it calls the
+//! cluster steps here: the lease renewal before each pull, the timeline
+//! rejoin at each hello, the campaign once the lease dies, and the fence
+//! refresh while primary. This module wires them to the wire:
 //!
 //! ```text
 //! REPL LEASE <id> <epoch> <applied_seq> [corr=<id>]
-//!     replica -> primary, every puller tick. The primary treats it as
+//!     replica -> primary, before every pull. The primary treats it as
 //!     a lease renewal and answers `OK lease epoch=<e>
 //!     primary_seq=<s> tl=<timeline>`; a stale sender gets
 //!     `ERR fenced epoch=<e>`, a non-primary answers
@@ -71,19 +75,17 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use streamlink_core::events::{self, escape_json, ClusterEvent, EventKind};
 use streamlink_core::failover::{ExchangeOutcome, FailoverNode, Role, Timeline};
 use streamlink_core::journal::{self, JournalEntry, LineCheck};
-use streamlink_core::loadgen::SplitMix64;
-use streamlink_core::{metrics, trace, PullOutcome, WireFormat};
+use streamlink_core::{metrics, trace, PullOutcome};
 
 use super::protocol::parse_bounded;
 use super::replication::{
-    adopt_config, id_seed, jittered, new_corr_id, next_backoff, pull_once, readonly_moved,
-    say_hello, sleep_poll, snapshot_round_with, take_corr, PrimaryLink, ReplicaRuntime,
+    new_corr_id, readonly_moved, snapshot_round_with, take_corr, Hello, PrimaryLink, ReplicaRuntime,
 };
 use super::ServerState;
 
@@ -276,6 +278,19 @@ impl ClusterRuntime {
         self.lease_ms
     }
 
+    /// One follower tick: a quarter lease, clamped to 10 ms..1 s.
+    pub(super) fn tick(&self) -> Duration {
+        Duration::from_millis((self.lease_ms / 4).clamp(10, 1000))
+    }
+
+    /// Starts the lease clock and publishes the gauges, once, before the
+    /// follower loop's first tick.
+    pub(super) fn arm(&self) {
+        self.node().arm(self.now_ms());
+        self.refresh_cache();
+        self.update_gauges();
+    }
+
     /// How many *other* members this node knows about.
     #[must_use]
     pub fn peer_count(&self) -> usize {
@@ -376,7 +391,7 @@ impl ClusterRuntime {
 
     /// The next address worth contacting: the believed primary if any,
     /// else round-robin over the peer roster.
-    fn probe_target(&self) -> String {
+    pub(super) fn probe_target(&self) -> String {
         if let Some(addr) = self.believed_primary() {
             if addr != self.advertise {
                 return addr;
@@ -391,7 +406,7 @@ impl ClusterRuntime {
 
     /// Records that `target` was not (or no longer is) the primary:
     /// drop the belief if it pointed there and rotate the probe cursor.
-    fn probe_failed(&self, target: &str) {
+    pub(super) fn probe_failed(&self, target: &str) {
         let mut believed = self.believed.lock().unwrap_or_else(PoisonError::into_inner);
         if believed.as_deref() == Some(target) {
             *believed = None;
@@ -869,210 +884,99 @@ fn parse_epoch_field(line: &str) -> Option<u64> {
 }
 
 // ---------------------------------------------------------------------
-// The cluster loop.
+// The cluster steps of the follower loop.
 // ---------------------------------------------------------------------
 
-fn how_session_ended(reply: &str) -> bool {
-    reply.starts_with("OK lease ")
-}
-
-/// What one replica session concluded about its target.
-enum SessionEnd {
-    /// Shutdown was requested; stop the loop.
-    Shutdown,
-    /// The target is not (or no longer) the primary; probe elsewhere.
-    NotPrimary,
-}
-
-/// The single cluster thread: as primary, keep the gate caches fresh;
-/// as replica, follow the primary (pull + lease) and campaign once the
-/// lease dies. Replaces [`super::replication::replica_loop`] in
-/// cluster mode.
-pub fn cluster_loop(state: &Arc<ServerState>, cluster: &Arc<ClusterRuntime>) {
-    let Some(runtime) = state.replica_runtime().cloned() else {
-        eprintln!("failover: cluster node without a replica runtime; loop disabled");
-        return;
-    };
-    let mut rng = SplitMix64::new(id_seed(&cluster.advertise));
-    let tick = Duration::from_millis((cluster.lease_ms / 4).clamp(10, 1000));
-    let backoff_floor = runtime.tuning.backoff_base.min(tick);
-    let backoff_ceiling = runtime
-        .tuning
-        .backoff_max
-        .min(Duration::from_millis(cluster.lease_ms.max(100)));
-    let mut backoff = backoff_floor;
-    cluster.node().arm(cluster.now_ms());
+/// A follower tick while this member is primary: keep the gate caches
+/// fresh and, when fenced, probe for a newer epoch so a superseded
+/// primary discovers the new timeline and rejoins instead of serving
+/// `ERR fenced` forever.
+pub(super) fn primary_tick(state: &ServerState, cluster: &ClusterRuntime) {
     cluster.refresh_cache();
     cluster.update_gauges();
-    while !state.shutdown_requested() {
-        if cluster.is_primary() {
-            cluster.refresh_cache();
-            cluster.update_gauges();
-            if !cluster.writable_now() {
-                // Fenced: probe for a newer epoch so a superseded
-                // primary discovers the new timeline and rejoins
-                // instead of serving `ERR fenced` forever.
-                fenced_probe(state, cluster);
-            }
-            sleep_poll(state, tick);
-            continue;
-        }
-        let target = cluster.probe_target();
-        match replica_session(state, cluster, &runtime, &target) {
-            Ok(SessionEnd::Shutdown) => break,
-            Ok(SessionEnd::NotPrimary) => {
-                runtime.set_connected(false);
-                cluster.probe_failed(&target);
-                backoff = backoff_floor;
-            }
-            Err(e) => {
-                runtime.set_connected(false);
-                runtime.update_gauges();
-                metrics::global().repl_reconnects.incr();
-                cluster.probe_failed(&target);
-                if state.shutdown_requested() {
-                    break;
-                }
-                eprintln!("failover: link to {target}: {e}");
-            }
-        }
-        maybe_campaign(state, cluster, &runtime);
-        if cluster.is_primary() {
-            continue;
-        }
-        // Short, jittered, lease-bounded backoff: elections must not
-        // wait out a 5s reconnect ceiling.
-        sleep_poll(state, jittered(&mut rng, backoff).min(tick));
-        backoff = next_backoff(backoff, backoff_ceiling);
+    if !cluster.writable_now() {
+        fenced_probe(state, cluster);
     }
-    runtime.set_connected(false);
-    runtime.update_gauges();
 }
 
-/// One session against a presumed primary: handshake, rejoin if our
-/// data sits on a dead timeline, then pull + lease until the link dies
-/// or the remote stops being primary.
-fn replica_session(
+/// The cluster half of a follower's hello: a remote on an older epoch is
+/// not our primary; a newer epoch is adopted on the spot.
+pub(super) fn hello_from_primary(
     state: &ServerState,
     cluster: &ClusterRuntime,
-    runtime: &ReplicaRuntime,
-    target: &str,
-) -> io::Result<SessionEnd> {
-    let mut link = PrimaryLink::connect(target, runtime.tuning.wire)?;
-    // One correlation id per session: every LEASE/PULL/HANDOFF this
-    // session sends carries it, so both ends' spans and events thread
-    // into one cross-node story.
-    let corr = new_corr_id(&cluster.advertise, cluster.now_ms());
-    runtime.set_corr(corr);
-    {
-        let _t = trace::op("repl.session");
-        trace::note_corr(corr);
-    }
-    let hello = say_hello(&cluster.advertise, &mut link)?;
-    if let Some(epoch) = hello.epoch {
-        if epoch < cluster.epoch() {
-            return Ok(SessionEnd::NotPrimary);
-        }
-        if epoch > cluster.epoch() {
+    hello: &Hello,
+) -> bool {
+    match hello.epoch {
+        Some(epoch) if epoch < cluster.epoch() => false,
+        Some(epoch) if epoch > cluster.epoch() => {
             adopt_observed(state, cluster, epoch);
+            true
         }
-    }
-    adopt_config(state, runtime, &hello)?;
-    match hello.timeline.as_deref().and_then(Timeline::parse) {
-        Some(remote_tl) => rejoin_timeline(state, cluster, runtime, &mut link, &remote_tl, corr)?,
-        None => {
-            // A primary without timeline info (old binary or fresh
-            // cluster): fall back to the classic dead-timeline check.
-            if hello.primary_seq < runtime.applied_seq() {
-                snapshot_round_with(state, runtime, &mut link, true)?;
-            }
-        }
-    }
-    runtime.note_primary_seq(hello.primary_seq);
-    runtime.set_connected(true);
-    runtime.update_gauges();
-    let mut last_anti_entropy = Instant::now();
-    loop {
-        if state.shutdown_requested() {
-            return Ok(SessionEnd::Shutdown);
-        }
-        if cluster.is_primary() {
-            // Promoted mid-session (election or PROMOTE): stop pulling.
-            return Ok(SessionEnd::NotPrimary);
-        }
-        // The lease renewal doubles as the liveness probe; only an
-        // `OK lease` from the *primary* renews our timer.
-        link.send(&format!(
-            "REPL LEASE {} {} {} corr={corr}",
-            cluster.advertise,
-            cluster.epoch(),
-            runtime.applied_seq(),
-        ))?;
-        let reply = link.recv()?;
-        if how_session_ended(&reply) {
-            let now = cluster.now_ms();
-            let epoch = parse_epoch_field(&reply).unwrap_or_else(|| cluster.epoch());
-            {
-                let mut node = cluster.node();
-                node.note_primary(epoch, now);
-            }
-            cluster.refresh_cache();
-            cluster.set_believed(Some(target.to_string()));
-            cluster.set_data_epoch(epoch);
-            if let Some(seq) = reply
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("primary_seq="))
-                .and_then(|v| v.parse().ok())
-            {
-                runtime.note_primary_seq(seq);
-            }
-            if let Some(tl) = reply
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("tl="))
-                .and_then(Timeline::parse)
-            {
-                cluster.adopt_timeline(&tl);
-            }
-        } else {
-            if let Some(epoch) = parse_epoch_field(&reply) {
-                if epoch > cluster.epoch() {
-                    adopt_observed(state, cluster, epoch);
-                }
-            }
-            return Ok(SessionEnd::NotPrimary);
-        }
-        let advanced = pull_once(state, runtime, &mut link)?;
-        if !runtime.tuning.anti_entropy_every.is_zero()
-            && last_anti_entropy.elapsed() >= runtime.tuning.anti_entropy_every
-        {
-            last_anti_entropy = Instant::now();
-            snapshot_round_with(state, runtime, &mut link, false)?;
-            metrics::global().repl_anti_entropy_rounds.incr();
-        }
-        runtime.update_gauges();
-        cluster.update_gauges();
-        if !advanced {
-            let lease_tick = Duration::from_millis((cluster.lease_ms / 4).max(10));
-            sleep_poll(state, runtime.tuning.poll_interval.min(lease_tick));
-        }
+        _ => true,
     }
 }
 
-/// Detects a fork past our data epoch, hands off our un-replicated
-/// tail entry-by-entry, then resyncs wholesale onto the new timeline.
-fn rejoin_timeline(
+/// One lease renewal, the follower's liveness probe before every pull.
+/// Only an `OK lease` from the primary renews our timer; `Ok(false)`
+/// means the remote is not (or no longer) the primary.
+pub(super) fn renew_lease(
     state: &ServerState,
     cluster: &ClusterRuntime,
     runtime: &ReplicaRuntime,
     link: &mut PrimaryLink,
-    remote_tl: &Timeline,
+    target: &str,
     corr: u64,
-) -> io::Result<()> {
+) -> io::Result<bool> {
+    link.send(&format!(
+        "REPL LEASE {} {} {} corr={corr}",
+        cluster.advertise,
+        cluster.epoch(),
+        runtime.applied_seq(),
+    ))?;
+    let reply = link.recv()?;
+    if !reply.starts_with("OK lease ") {
+        if let Some(epoch) = parse_epoch_field(&reply) {
+            if epoch > cluster.epoch() {
+                adopt_observed(state, cluster, epoch);
+            }
+        }
+        return Ok(false);
+    }
+    let epoch = parse_epoch_field(&reply).unwrap_or_else(|| cluster.epoch());
+    cluster.node().note_primary(epoch, cluster.now_ms());
+    cluster.refresh_cache();
+    cluster.set_believed(Some(target.to_string()));
+    cluster.set_data_epoch(epoch);
+    let field = |key: &str| reply.split_whitespace().find_map(|kv| kv.strip_prefix(key));
+    if let Some(seq) = field("primary_seq=").and_then(|v| v.parse().ok()) {
+        runtime.note_primary_seq(seq);
+    }
+    if let Some(tl) = field("tl=").and_then(Timeline::parse) {
+        cluster.adopt_timeline(&tl);
+    }
+    Ok(true)
+}
+
+/// Detects a fork past our data epoch in the hello's timeline, hands off
+/// our un-replicated tail entry-by-entry, then resyncs wholesale onto
+/// the new timeline. Returns whether the primary sent a timeline at all;
+/// without one the caller falls back to the seq check.
+pub(super) fn rejoin_timeline(
+    state: &ServerState,
+    cluster: &ClusterRuntime,
+    runtime: &ReplicaRuntime,
+    link: &mut PrimaryLink,
+    hello: &Hello,
+    corr: u64,
+) -> io::Result<bool> {
+    let Some(remote_tl) = hello.timeline.as_deref().and_then(Timeline::parse) else {
+        return Ok(false);
+    };
     let data_epoch = cluster.data_epoch();
     let Some(base) = remote_tl.fork_after(data_epoch) else {
         // Our data is a prefix of the current timeline; nothing forked.
-        cluster.adopt_timeline(remote_tl);
-        return Ok(());
+        cluster.adopt_timeline(&remote_tl);
+        return Ok(true);
     };
     let applied = runtime.applied_seq();
     if applied > base {
@@ -1086,7 +990,7 @@ fn rejoin_timeline(
     // Whatever remains local of the dead timeline is superseded:
     // replace wholesale with the new primary's state.
     snapshot_round_with(state, runtime, link, true)?;
-    cluster.adopt_timeline(remote_tl);
+    cluster.adopt_timeline(&remote_tl);
     cluster.set_data_epoch(remote_tl.latest_epoch());
     if let Err(e) = cluster.persist_state() {
         eprintln!("failover: could not persist rejoin: {e}");
@@ -1101,7 +1005,7 @@ fn rejoin_timeline(
         ),
         Some(corr),
     );
-    Ok(())
+    Ok(true)
 }
 
 /// Ships seqs `base+1..=applied` of the dead timeline to the current
@@ -1185,7 +1089,11 @@ fn local_tail(state: &ServerState, after: u64, max: usize) -> Vec<JournalEntry> 
 
 /// Opens (or retries) a candidacy once the lease is dead and our
 /// stagger slot came up, then runs one synchronous vote round.
-fn maybe_campaign(state: &ServerState, cluster: &ClusterRuntime, runtime: &ReplicaRuntime) {
+pub(super) fn maybe_campaign(
+    state: &ServerState,
+    cluster: &ClusterRuntime,
+    runtime: &ReplicaRuntime,
+) {
     let now = cluster.now_ms();
     let target = {
         let mut node = cluster.node();
@@ -1276,7 +1184,7 @@ fn request_vote(
     corr: u64,
 ) -> VoteReply {
     let ask = || -> io::Result<String> {
-        let mut link = PrimaryLink::connect(peer, WireFormat::TextV2)?;
+        let mut link = PrimaryLink::connect(peer)?;
         link.send(&format!(
             "REPL VOTE {candidate} {target} {data_epoch} {seq} corr={corr}"
         ))?;
@@ -1298,7 +1206,7 @@ fn fenced_probe(state: &ServerState, cluster: &ClusterRuntime) {
     }
     let corr = new_corr_id(&cluster.advertise, cluster.now_ms());
     let probe = || -> io::Result<String> {
-        let mut link = PrimaryLink::connect(&target, WireFormat::TextV2)?;
+        let mut link = PrimaryLink::connect(&target)?;
         link.send(&format!(
             "REPL LEASE {} {} {} corr={corr}",
             cluster.advertise,
@@ -1482,7 +1390,7 @@ impl NodeView {
 /// fan-out corr id rides along so the probe shows up correlated in the
 /// remote's trace ring.
 fn probe_cluster_info(addr: &str, corr: u64) -> Option<String> {
-    let mut link = PrimaryLink::connect(addr, WireFormat::TextV2).ok()?;
+    let mut link = PrimaryLink::connect(addr).ok()?;
     link.send(&format!("CLUSTER INFO corr={corr}")).ok()?;
     link.recv().ok()
 }
@@ -1572,6 +1480,7 @@ mod tests {
     use crate::server::replication::ReplicaTuning;
     use crate::server::{ServerConfig, ServerState};
     use graphstream::VertexId;
+    use std::sync::Arc;
     use streamlink_core::{SketchConfig, SketchStore};
 
     fn cluster_config(advertise: &str, peers: &[&str], bootstrap: bool) -> ClusterConfig {
@@ -1597,13 +1506,13 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
-        let state = ServerState::with_cluster(
+        let state = ServerState::follower(
             store,
             None,
             0,
             ServerConfig::default(),
             runtime,
-            Arc::clone(&cluster),
+            Some(Arc::clone(&cluster)),
         );
         (state, cluster)
     }

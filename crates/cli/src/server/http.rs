@@ -610,7 +610,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let s = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            Arc::clone(&runtime),
+            None,
+        );
 
         // Caught up: healthy, and the replication leg is reported.
         let r = respond(&s, "GET", "/healthz");
@@ -643,7 +650,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let s = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            Arc::clone(&runtime),
+            None,
+        );
         // Everything applied AND persisted up to the primary's seq:
         // healthy even at a high watermark.
         runtime.seed_applied(2_000);
@@ -680,8 +694,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            runtime,
+            Some(cluster),
+        );
         let r = respond(&s, "GET", "/healthz");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(r.body.contains("\"failover\":{\"epoch\":1"), "{}", r.body);
@@ -740,8 +760,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            runtime,
+            Some(cluster),
+        );
         let r = respond(&s, "GET", "/clusterz");
         assert_eq!(r.status, 503, "{}", r.body);
         assert!(
@@ -809,8 +835,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(3));
-        let s =
-            ServerState::with_cluster(store, None, 0, ServerConfig::default(), runtime, cluster);
+        let s = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            runtime,
+            Some(cluster),
+        );
         let r = respond(&s, "GET", "/healthz");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(

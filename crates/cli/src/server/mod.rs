@@ -14,12 +14,12 @@
 //!   `/metrics`, `/healthz`, `/tracez`, and `/memz` over a bounded,
 //!   timeboxed std-only HTTP/1.1 listener.
 //! * [`replication`] — WAL shipping: the primary's bounded ship ring
-//!   and `REPL` command family, and the replica's puller thread with
-//!   anti-entropy (see `docs/OPERATIONS.md` §11).
+//!   and `REPL` command family, and the follower thread every replica
+//!   runs, with anti-entropy (see `docs/OPERATIONS.md` §11).
 //! * [`failover`] — cluster mode (`--peers`): the lease/vote/handoff
-//!   wire handlers around [`streamlink_core::failover`], the single
-//!   cluster loop that replaces the plain puller, and the epoch fence
-//!   in front of every write.
+//!   wire handlers around [`streamlink_core::failover`], the cluster
+//!   steps the follower thread takes when a cluster exists, and the
+//!   epoch fence in front of every write.
 //!
 //! ## Lifecycle
 //!
@@ -171,57 +171,30 @@ impl ServerState {
         Self::new(store, Some(persist), snapshot_seq, config)
     }
 
-    /// A read replica: in-memory store, no journal, writes rejected at
-    /// the protocol layer, state pulled from `runtime.primary_addr` by
-    /// the puller thread [`serve`] spawns.
+    /// A follower of a primary: writes are refused at the protocol layer
+    /// while it acts as a replica, and the follower thread [`serve`]
+    /// spawns pulls its state. With `persist` it journals what it applies
+    /// (see `replication::apply_entry`), so a restart resumes from the
+    /// local disk seq; the caller seeds the runtime's applied seq from the
+    /// recovery high-water mark. With `cluster` it is a failover member:
+    /// it keeps its ship ring (a promotion turns it into the serving
+    /// primary) and acts as a replica only while its role says so. A
+    /// classic follower holds no ship ring (replicas do not re-ship).
     #[must_use]
-    pub fn replica(
-        store: SketchStore,
-        config: ServerConfig,
-        runtime: Arc<replication::ReplicaRuntime>,
-    ) -> Self {
-        let mut state = Self::new(store, None, 0, config);
-        state.repl = None; // replicas do not re-ship
-        state.replica = Some(runtime);
-        state
-    }
-
-    /// A read replica with its own data directory: applied WAL entries
-    /// are journaled locally (see `replication::apply_entry`), so a
-    /// restart resumes from the local disk seq instead of re-pulling
-    /// the world. The caller seeds the runtime's applied seq from the
-    /// recovery high-water mark.
-    #[must_use]
-    pub fn durable_replica(
-        store: SketchStore,
-        persist: Persist,
-        snapshot_seq: u64,
-        config: ServerConfig,
-        runtime: Arc<replication::ReplicaRuntime>,
-    ) -> Self {
-        let mut state = Self::new(store, Some(persist), snapshot_seq, config);
-        state.repl = None; // replicas do not re-ship
-        state.replica = Some(runtime);
-        state
-    }
-
-    /// A failover-cluster node. Unlike [`Self::replica`], it keeps its
-    /// ship ring (a promotion turns it into the serving primary) and may
-    /// carry a data directory (durable replicas journal what they
-    /// apply). Whether it currently *acts* as a replica is decided by
-    /// the cluster runtime's role, not by construction.
-    #[must_use]
-    pub fn with_cluster(
+    pub fn follower(
         store: SketchStore,
         persist: Option<Persist>,
         snapshot_seq: u64,
         config: ServerConfig,
         runtime: Arc<replication::ReplicaRuntime>,
-        cluster: Arc<failover::ClusterRuntime>,
+        cluster: Option<Arc<failover::ClusterRuntime>>,
     ) -> Self {
         let mut state = Self::new(store, persist, snapshot_seq, config);
+        if cluster.is_none() {
+            state.repl = None;
+        }
         state.replica = Some(runtime);
-        state.cluster = Some(cluster);
+        state.cluster = cluster;
         state
     }
 
@@ -506,28 +479,19 @@ pub fn serve(listener: TcpListener, state: &Arc<ServerState>) -> io::Result<()> 
     } else {
         None
     };
-    let repl_thread = match (&state.cluster, &state.replica) {
-        // Cluster mode: one loop owns both sides — it pulls while the
-        // node is a replica and maintains the lease while it is primary.
-        (Some(cluster), _) => {
-            let st = Arc::clone(state);
-            let cl = Arc::clone(cluster);
-            Some(
-                thread::Builder::new()
-                    .name("failover".into())
-                    .spawn(move || failover::cluster_loop(&st, &cl))?,
-            )
-        }
-        (None, Some(runtime)) => {
+    // Every replica runs one follower thread; a cluster member's also
+    // keeps the lease fresh while it is primary.
+    let repl_thread = match &state.replica {
+        Some(runtime) => {
             let st = Arc::clone(state);
             let rt = Arc::clone(runtime);
             Some(
                 thread::Builder::new()
-                    .name("replication".into())
-                    .spawn(move || replication::replica_loop(&st, &rt))?,
+                    .name("follower".into())
+                    .spawn(move || replication::follower_loop(&st, &rt))?,
             )
         }
-        (None, None) => None,
+        None => None,
     };
 
     state.refresh_observable_gauges();

@@ -1170,7 +1170,7 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(64).seed(1));
-        ServerState::replica(store, ServerConfig::default(), runtime)
+        ServerState::follower(store, None, 0, ServerConfig::default(), runtime, None)
     }
 
     #[test]

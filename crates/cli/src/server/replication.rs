@@ -1,5 +1,5 @@
 //! WAL-shipping replication: the primary's ship buffer + peer registry
-//! and the replica's puller loop.
+//! and the follower loop every replica runs.
 //!
 //! ## Topology
 //!
@@ -25,16 +25,14 @@
 //!
 //! ## Binary WAL shipping (wire format v3)
 //!
-//! A replica launched with `--format v3` (the default) offers
-//! `HELLO v3` right after connecting; a primary that understands it
-//! answers `OK fmt=v3` and ships every `REPL PULL` batch as one
-//! CRC-covered [`streamlink_core::codec`] `WAL_BATCH` envelope (seqs
-//! delta-encoded) instead of per-line text frames — one checksum per
-//! batch, no per-line re-parse. `REPL SNAPSHOT` answers with one
-//! `SNAPSHOT_FRAME` carrying the v3 store-snapshot envelope, never a
-//! JSON rendering. An old primary answers `ERR unknown command` and
-//! the link transparently stays on text lines, so mixed-version pairs
-//! keep replicating.
+//! Every follower link offers `HELLO v3` right after connecting and
+//! fails the session unless the primary answers `OK fmt=v3`. The
+//! primary then ships every `REPL PULL` batch as one CRC-covered
+//! [`streamlink_core::codec`] `WAL_BATCH` envelope (seqs
+//! delta-encoded) — one checksum per batch, no per-line re-parse — and
+//! `REPL SNAPSHOT` as one `SNAPSHOT_FRAME` carrying the v3
+//! store-snapshot envelope. The text responses above stay for other
+//! clients; `--format` governs storage only.
 //!
 //! ## Why the primary can never stall
 //!
@@ -58,12 +56,16 @@
 //!
 //! ## Failure behavior
 //!
-//! The puller reconnects with jittered exponential backoff and resumes
-//! from its last applied seq — a replica killed mid-stream loses nothing
-//! it already applied. A primary that restarted into a lower seq space
-//! is detected at handshake and answered with a full local reset.
+//! [`follower_loop`] serves `--replicate-from` and `--peers` alike; a
+//! cluster adds the lease, rejoin and campaign steps of
+//! [`super::failover`]. It reconnects with jittered exponential backoff
+//! and resumes from its last applied seq — a replica killed mid-stream
+//! loses nothing it already applied. A primary that restarted into a
+//! lower seq space is detected at the hello and answered with a forced
+//! snapshot install, which a durable follower makes durable as a new
+//! chain ([`streamlink_core::durable::install`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,15 +74,16 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use streamlink_core::codec::Codec as _;
-use streamlink_core::journal::{self, JournalEntry, LineCheck};
+use streamlink_core::journal::{self, JournalEntry};
 use streamlink_core::loadgen::SplitMix64;
 use streamlink_core::merge::merge_join;
 use streamlink_core::snapshot::StoreSnapshot;
 use streamlink_core::{
-    codec, metrics, trace, ApplyOutcome, HasherBackend, PullOutcome, ReplLog, ReplicaApplier,
-    SketchConfig, SketchStore, WireFormat,
+    codec, durable, metrics, trace, ApplyOutcome, HasherBackend, PullOutcome, ReplLog,
+    ReplicaApplier, SketchConfig, SketchStore,
 };
 
+use super::failover::{self, ClusterRuntime};
 use super::protocol::parse_bounded;
 use super::{persistence, ServerState, POLL_INTERVAL};
 
@@ -96,9 +99,15 @@ pub const PEER_LIVENESS: Duration = Duration::from_secs(10);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(3);
 
 /// Per-socket read/write timeout on the replication link. `REPL PULL`
-/// always answers promptly (an empty batch is still an `OK` line), so a
+/// always answers promptly (an empty batch is still a frame), so a
 /// healthy link never comes close to this.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// First reconnect backoff after a link failure.
+const BACKOFF_BASE: Duration = Duration::from_millis(100);
+
+/// Reconnect backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_secs(5);
 
 /// Splits an optional trailing `corr=<id>` token off a REPL argument
 /// list, stamping the enclosing trace span with the correlation id
@@ -130,30 +139,19 @@ pub struct ReplicaTuning {
     /// Entries requested per `REPL PULL` (capped at
     /// [`MAX_PULL_BATCH`]).
     pub pull_batch: usize,
-    /// Wire format offered to the primary at connect time
-    /// (`--format`): `BinaryV3` negotiates framed `WAL_BATCH`
-    /// shipping, falling back to text when the primary is older.
-    pub wire: WireFormat,
     /// Sleep between pulls once caught up.
     pub poll_interval: Duration,
     /// Period between anti-entropy snapshot joins (zero disables the
     /// periodic rounds; resync-on-demand still works).
     pub anti_entropy_every: Duration,
-    /// First reconnect backoff after a link failure.
-    pub backoff_base: Duration,
-    /// Backoff ceiling.
-    pub backoff_max: Duration,
 }
 
 impl Default for ReplicaTuning {
     fn default() -> Self {
         ReplicaTuning {
             pull_batch: 4096,
-            wire: WireFormat::default(),
             poll_interval: Duration::from_millis(100),
             anti_entropy_every: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(100),
-            backoff_max: Duration::from_secs(5),
         }
     }
 }
@@ -276,7 +274,7 @@ impl PrimaryRepl {
 }
 
 /// Replica-side shared state: where the primary is, how far we have
-/// applied, and the tunables the puller thread runs with.
+/// applied, and the tunables the follower thread runs with.
 pub struct ReplicaRuntime {
     /// `HOST:PORT` of the primary this node replicates from.
     pub primary_addr: String,
@@ -285,7 +283,7 @@ pub struct ReplicaRuntime {
     pub id: String,
     /// Replica lag (edges) beyond which `/healthz` reports 503.
     pub lag_slo: u64,
-    /// Puller tunables.
+    /// Follower tunables.
     pub tuning: ReplicaTuning,
     applier: Mutex<ReplicaApplier>,
     applied_seq: AtomicU64,
@@ -293,7 +291,7 @@ pub struct ReplicaRuntime {
     primary_seq: AtomicU64,
     connected: AtomicBool,
     /// Correlation id threaded through this runtime's `REPL PULL`s
-    /// (0 = unset; set per session by the cluster loop).
+    /// (0 = unset; set per session by the follower loop).
     corr_id: AtomicU64,
 }
 
@@ -401,7 +399,7 @@ impl ReplicaRuntime {
         self.durable_lag() > self.lag_slo
     }
 
-    /// Whether the puller currently holds a live link to the primary.
+    /// Whether the follower currently holds a live link to the primary.
     #[must_use]
     pub fn connected(&self) -> bool {
         self.connected.load(Ordering::Relaxed)
@@ -702,72 +700,159 @@ fn parse_backend(name: &str) -> Option<HasherBackend> {
 }
 
 // ---------------------------------------------------------------------
-// Replica side: the puller thread.
+// Replica side: the follower thread.
 // ---------------------------------------------------------------------
 
-/// The replica puller thread body: connect, handshake, pull until
-/// shutdown; on any link error back off (jittered exponential) and
+/// How a follower session ended without a link error.
+enum SessionEnd {
+    /// Shutdown was requested; stop the loop.
+    Shutdown,
+    /// The target is not (or no longer) the primary; probe elsewhere.
+    NotPrimary,
+}
+
+/// The follower thread body, for every replica: connect, hello, pull
+/// until shutdown; on a link error back off (jittered exponential) and
 /// reconnect, resuming from the last applied seq.
-pub fn replica_loop(state: &Arc<ServerState>, runtime: &Arc<ReplicaRuntime>) {
-    // Cheap deterministic jitter source, seeded per replica id so a
-    // fleet restarting together does not reconnect in lockstep.
+///
+/// A classic replica follows its fixed `--replicate-from` address and
+/// backs off 100 ms → 5 s. A cluster member (`--peers`) keeps its fence
+/// fresh while primary; otherwise it follows the believed primary,
+/// renews its lease before every pull, campaigns once the lease dies,
+/// and keeps every backoff inside one lease tick so elections do not
+/// wait (see [`super::failover`]).
+pub fn follower_loop(state: &Arc<ServerState>, runtime: &Arc<ReplicaRuntime>) {
+    let cluster = state.cluster().map(Arc::as_ref);
+    // Cheap deterministic jitter source, seeded per node so a fleet
+    // restarting together does not reconnect in lockstep.
     let mut rng = SplitMix64::new(id_seed(&runtime.id));
-    let mut backoff = runtime.tuning.backoff_base;
+    let (floor, ceiling, cap) = match cluster {
+        Some(cluster) => {
+            cluster.arm();
+            let lease = Duration::from_millis(cluster.lease_ms().max(100));
+            (
+                BACKOFF_BASE.min(cluster.tick()),
+                BACKOFF_MAX.min(lease),
+                cluster.tick(),
+            )
+        }
+        None => (BACKOFF_BASE, BACKOFF_MAX, Duration::MAX),
+    };
+    let mut backoff = floor;
     while !state.shutdown_requested() {
-        match run_session(state, runtime, &mut backoff) {
-            Ok(()) => break, // clean shutdown
+        if let Some(cluster) = cluster.filter(|cluster| cluster.is_primary()) {
+            failover::primary_tick(state, cluster);
+            sleep_poll(state, cap);
+            continue;
+        }
+        let target = cluster.map_or_else(
+            || runtime.primary_addr.clone(),
+            ClusterRuntime::probe_target,
+        );
+        let ended = follow_session(state, runtime, cluster, &target);
+        if runtime.connected() {
+            // A completed hello proves the primary healthy: the next
+            // outage starts from the floor again.
+            backoff = floor;
+        }
+        runtime.set_connected(false);
+        match ended {
+            Ok(SessionEnd::Shutdown) => break,
+            Ok(SessionEnd::NotPrimary) => backoff = floor,
             Err(e) => {
-                runtime.set_connected(false);
                 runtime.update_gauges();
                 metrics::global().repl_reconnects.incr();
                 if state.shutdown_requested() {
                     break;
                 }
-                let delay = jittered(&mut rng, backoff);
-                eprintln!(
-                    "replication: link to {}: {e}; retrying in {}ms",
-                    runtime.primary_addr,
-                    delay.as_millis(),
-                );
-                sleep_poll(state, delay);
-                backoff = next_backoff(backoff, runtime.tuning.backoff_max);
+                eprintln!("replication: link to {target}: {e}");
             }
         }
+        if let Some(cluster) = cluster {
+            cluster.probe_failed(&target);
+            failover::maybe_campaign(state, cluster, runtime);
+            if cluster.is_primary() {
+                continue;
+            }
+        }
+        sleep_poll(state, jittered(&mut rng, backoff).min(cap));
+        backoff = next_backoff(backoff, ceiling);
     }
     runtime.set_connected(false);
     runtime.update_gauges();
 }
 
 /// Folds a node id into a jitter seed (distinct ids, distinct phases).
-pub(super) fn id_seed(id: &str) -> u64 {
+fn id_seed(id: &str) -> u64 {
     id.bytes().fold(0x9E37_79B9_7F4A_7C15u64, |acc, b| {
         acc.rotate_left(8) ^ u64::from(b)
     })
 }
 
 /// One reconnect backoff step: double, saturating at the ceiling.
-pub(super) fn next_backoff(cur: Duration, max: Duration) -> Duration {
+fn next_backoff(cur: Duration, max: Duration) -> Duration {
     cur.saturating_mul(2).min(max)
 }
 
-/// One connected session: handshake, then pull/anti-entropy until the
-/// link errors or shutdown is requested.
-fn run_session(
+/// One session against `target`: hello, resolve a dead timeline, then
+/// pull (renewing the lease first, in a cluster) until the link errors,
+/// shutdown is requested, or the remote stops being the primary.
+fn follow_session(
     state: &ServerState,
     runtime: &ReplicaRuntime,
-    backoff: &mut Duration,
-) -> io::Result<()> {
-    let mut link = PrimaryLink::connect(&runtime.primary_addr, runtime.tuning.wire)?;
-    handshake(state, runtime, &mut link)?;
-    // A completed handshake proves the primary is healthy: reset the
-    // reconnect backoff so the next outage starts from the base delay.
-    *backoff = runtime.tuning.backoff_base;
+    cluster: Option<&ClusterRuntime>,
+    target: &str,
+) -> io::Result<SessionEnd> {
+    let mut link = PrimaryLink::connect(target)?;
+    // One correlation id per session: every LEASE/PULL/HANDOFF it sends
+    // carries it, so both ends' spans and events thread into one story.
+    let corr = new_corr_id(&runtime.id, cluster.map_or(0, ClusterRuntime::now_ms));
+    runtime.set_corr(corr);
+    {
+        let _t = trace::op("repl.session");
+        trace::note_corr(corr);
+    }
+    let hello = say_hello(&runtime.id, &mut link)?;
+    if cluster.is_some_and(|cluster| !failover::hello_from_primary(state, cluster, &hello)) {
+        return Ok(SessionEnd::NotPrimary);
+    }
+    adopt_config(state, runtime, &hello)?;
+    let rejoined = match cluster {
+        Some(cluster) => {
+            failover::rejoin_timeline(state, cluster, runtime, &mut link, &hello, corr)?
+        }
+        None => false,
+    };
+    if !rejoined && hello.primary_seq < runtime.applied_seq() {
+        // No fork timeline to consult, and the primary restarted into a
+        // lower seq space: our state belongs to a dead timeline.
+        eprintln!(
+            "replication: primary seq {} behind local {}; installing its snapshot",
+            hello.primary_seq,
+            runtime.applied_seq(),
+        );
+        snapshot_round_with(state, runtime, &mut link, true)?;
+    }
+    runtime.note_primary_seq(hello.primary_seq);
     runtime.set_connected(true);
     runtime.update_gauges();
+    let idle = cluster.map_or(runtime.tuning.poll_interval, |cluster| {
+        let lease_tick = Duration::from_millis((cluster.lease_ms() / 4).max(10));
+        runtime.tuning.poll_interval.min(lease_tick)
+    });
     let mut last_anti_entropy = Instant::now();
     loop {
         if state.shutdown_requested() {
-            return Ok(());
+            return Ok(SessionEnd::Shutdown);
+        }
+        if let Some(cluster) = cluster {
+            // Promoted mid-session (election or PROMOTE), or the remote
+            // no longer renews our lease as primary: stop pulling.
+            if cluster.is_primary()
+                || !failover::renew_lease(state, cluster, runtime, &mut link, target, corr)?
+            {
+                return Ok(SessionEnd::NotPrimary);
+            }
         }
         let advanced = pull_once(state, runtime, &mut link)?;
         if !runtime.tuning.anti_entropy_every.is_zero()
@@ -778,46 +863,17 @@ fn run_session(
             metrics::global().repl_anti_entropy_rounds.incr();
         }
         runtime.update_gauges();
+        if let Some(cluster) = cluster {
+            cluster.update_gauges();
+        }
         if !advanced {
-            sleep_poll(state, runtime.tuning.poll_interval);
+            sleep_poll(state, idle);
         }
     }
 }
 
-/// `REPL HELLO` + config adoption / divergence handling (the classic,
-/// non-cluster handshake: a lower primary seq means a dead timeline and
-/// forces a full local reset).
-fn handshake(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    link: &mut PrimaryLink,
-) -> io::Result<()> {
-    let hello = say_hello(&runtime.id, link)?;
-    adopt_config(state, runtime, &hello)?;
-    if hello.primary_seq < runtime.applied_seq() {
-        // The primary restarted into a lower seq space: our state
-        // belongs to a dead timeline. Start over.
-        eprintln!(
-            "replication: primary seq {} behind local {}; full resync",
-            hello.primary_seq,
-            runtime.applied_seq(),
-        );
-        let mut store = state.write_store();
-        let mut applier = runtime.applier();
-        *store = SketchStore::new(*store.config());
-        applier.reset_to(0);
-        metrics::global().repl_resyncs.incr();
-        runtime
-            .applied_seq
-            .store(applier.applied_seq(), Ordering::Relaxed);
-        runtime.set_persisted(0);
-    }
-    runtime.note_primary_seq(hello.primary_seq);
-    Ok(())
-}
-
 /// Sends `REPL HELLO` and parses the reply. No local side effects.
-pub(super) fn say_hello(id: &str, link: &mut PrimaryLink) -> io::Result<Hello> {
+fn say_hello(id: &str, link: &mut PrimaryLink) -> io::Result<Hello> {
     link.send(&format!("REPL HELLO {id}"))?;
     let line = link.recv()?;
     parse_hello(&line).ok_or_else(|| bad_data(format!("bad REPL HELLO response: {line:?}")))
@@ -825,11 +881,7 @@ pub(super) fn say_hello(id: &str, link: &mut PrimaryLink) -> io::Result<Hello> {
 
 /// Adopts the primary's sketch shape when this node is still empty;
 /// errors on a genuine config mismatch.
-pub(super) fn adopt_config(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    hello: &Hello,
-) -> io::Result<()> {
+fn adopt_config(state: &ServerState, runtime: &ReplicaRuntime, hello: &Hello) -> io::Result<()> {
     let primary_cfg = SketchConfig::with_slots(hello.slots)
         .seed(hello.seed)
         .backend(hello.backend);
@@ -886,9 +938,12 @@ fn parse_hello(line: &str) -> Option<Hello> {
     })
 }
 
-/// One `REPL PULL` round. Returns whether the round made progress (so
-/// the caller knows to skip the idle sleep).
-pub(super) fn pull_once(
+/// One `REPL PULL` round. The reply is one `WAL_BATCH` envelope — its
+/// CRC covers the whole batch, so there is no per-entry
+/// re-verification — or a text frame carrying an `ERR` line. Returns
+/// whether the round made progress (so the caller knows to skip the
+/// idle sleep).
+fn pull_once(
     state: &ServerState,
     runtime: &ReplicaRuntime,
     link: &mut PrimaryLink,
@@ -902,51 +957,6 @@ pub(super) fn pull_once(
         "REPL PULL {} {after} {batch}{corr_part}",
         runtime.id
     ))?;
-    if link.binary {
-        return pull_once_binary(state, runtime, link);
-    }
-    let mut applied_any = false;
-    loop {
-        let line = link.recv()?;
-        if let Some(rest) = line.strip_prefix("OK ") {
-            if let Some(seq) = rest
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix("primary_seq="))
-                .and_then(|v| v.parse::<u64>().ok())
-            {
-                runtime.note_primary_seq(seq);
-            }
-            return Ok(applied_any);
-        }
-        if line.starts_with("ERR resync") {
-            snapshot_round(state, runtime, link)?;
-            return Ok(true);
-        }
-        if line.starts_with("ERR") {
-            return Err(bad_data(format!("primary rejected pull: {line}")));
-        }
-        // A WAL v2 frame: CRC-verify before applying. A corrupt frame
-        // means the link (or primary) is lying — drop the session and
-        // resync rather than apply garbage.
-        let entry = match JournalEntry::check_line(&line) {
-            LineCheck::Verified(entry) | LineCheck::Legacy(entry) => entry,
-            LineCheck::Malformed | LineCheck::BadCrc => {
-                return Err(bad_data(format!("corrupt replication frame: {line:?}")));
-            }
-        };
-        apply_entry(state, runtime, entry);
-        applied_any = true;
-    }
-}
-
-/// The framed-mode pull response: one `WAL_BATCH` envelope, or a
-/// `TEXT_FRAME` carrying an `ERR` line. The envelope CRC covers the
-/// whole batch, so there is no per-entry re-verification.
-fn pull_once_binary(
-    state: &ServerState,
-    runtime: &ReplicaRuntime,
-    link: &mut PrimaryLink,
-) -> io::Result<bool> {
     match link.recv_frame()? {
         (codec::MODE_WAL_BATCH, body) => {
             let (entries, primary_seq) =
@@ -958,16 +968,22 @@ fn pull_once_binary(
             runtime.note_primary_seq(primary_seq);
             Ok(applied_any)
         }
-        (codec::MODE_TEXT_FRAME, body) => {
-            let line = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
-            if line.starts_with("ERR resync") {
-                snapshot_round(state, runtime, link)?;
-                Ok(true)
-            } else {
-                Err(bad_data(format!("primary rejected pull: {line}")))
-            }
+        (codec::MODE_TEXT_FRAME, body) if body.starts_with(b"ERR resync") => {
+            snapshot_round(state, runtime, link)?;
+            Ok(true)
         }
-        (mode, _) => Err(bad_data(format!("unexpected frame mode {mode:#04x}"))),
+        (mode, body) => Err(rejected("pull", mode, &body)),
+    }
+}
+
+/// The error for a reply that is not the frame a request expects: a
+/// text frame's line verbatim, anything else by its mode.
+fn rejected(request: &str, mode: u8, body: &[u8]) -> io::Error {
+    if mode == codec::MODE_TEXT_FRAME {
+        let line = String::from_utf8_lossy(body);
+        bad_data(format!("primary rejected {request}: {line}"))
+    } else {
+        bad_data(format!("unexpected frame mode {mode:#04x} for {request}"))
     }
 }
 
@@ -1015,7 +1031,7 @@ pub(super) fn apply_entry(state: &ServerState, runtime: &ReplicaRuntime, entry: 
 /// One anti-entropy round: pull a primary snapshot and union it into the
 /// local store with the idempotent join, then advance the dedup gate to
 /// the snapshot's seq.
-pub(super) fn snapshot_round(
+fn snapshot_round(
     state: &ServerState,
     runtime: &ReplicaRuntime,
     link: &mut PrimaryLink,
@@ -1025,8 +1041,9 @@ pub(super) fn snapshot_round(
 
 /// [`snapshot_round`] with an explicit replace switch: `force_replace`
 /// installs the snapshot wholesale even when its seq is ahead of the
-/// local mark — the rejoin path after a failover, where the local store
-/// belongs to a dead timeline whose seq numbers no longer mean anything.
+/// local mark — the dead-timeline path, where the local store's seq
+/// numbers no longer mean anything. Every wholesale replace is made
+/// durable as a new chain before the store lock is released.
 pub(super) fn snapshot_round_with(
     state: &ServerState,
     runtime: &ReplicaRuntime,
@@ -1036,102 +1053,89 @@ pub(super) fn snapshot_round_with(
     link.send("REPL SNAPSHOT")?;
     let (seq, snap) = recv_snapshot(link)?;
     let incoming = snap.restore();
-    {
+    let replaced = {
         let mut store = state.write_store();
         let mut applier = runtime.applier();
-        if *store.config() != *incoming.config() {
-            if store.vertex_count() == 0 && store.edges_processed() == 0 {
-                *store = incoming;
-                applier.reset_to(seq);
-            } else {
+        let replace = if *store.config() != *incoming.config() {
+            if store.vertex_count() != 0 || store.edges_processed() != 0 {
                 return Err(bad_data("snapshot config mismatch with local store"));
             }
+            true
         } else if force_replace || seq < applier.applied_seq() {
             // The snapshot is from a different timeline than our applied
-            // mark (a primary reset the handshake did not see, or a
-            // post-failover rejoin). Replace wholesale.
-            *store = incoming;
-            applier.reset_to(seq);
+            // mark (a primary reset the hello did not see, or a rejoin
+            // after a failover).
             metrics::global().repl_resyncs.incr();
+            true
         } else {
             merge_join(&mut store, &incoming)
                 .map_err(|e| bad_data(format!("anti-entropy join failed: {e}")))?;
             applier.advance_to(seq);
+            false
+        };
+        if replace {
+            *store = incoming;
+            applier.reset_to(seq);
+            install_durable(state, runtime, &store, seq);
         }
         runtime
             .applied_seq
             .store(applier.applied_seq(), Ordering::Relaxed);
-    }
+        replace
+    };
     runtime.note_primary_seq(seq);
-    realign_durable(state, runtime, seq);
+    if !replaced {
+        realign_durable(state, runtime, seq);
+    }
     Ok(())
 }
 
-/// Receives and decodes one snapshot. On a v3 link the primary ships a
-/// single compressed `SNAPSHOT_FRAME` envelope (its CRC covers the
-/// body, so there is no separate len/crc line); text links — and v3
-/// links talking to an older primary — use the
-/// `OK snapshot seq= len= crc32=` header plus one JSON line.
-fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, StoreSnapshot)> {
-    if link.binary && link.pending.is_empty() {
-        match link.recv_frame()? {
-            (codec::MODE_SNAPSHOT_FRAME, body) => {
-                let (seq, bytes) =
-                    codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?;
-                return Ok((seq, decode_snapshot_payload(&bytes)?));
-            }
-            (codec::MODE_TEXT_FRAME, body) => {
-                // An older primary wraps the text response in a frame;
-                // queue its lines and fall through to the text parser.
-                let text = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
-                link.pending.extend(text.split('\n').map(str::to_string));
-            }
-            (mode, _) => {
-                return Err(bad_data(format!("unexpected frame mode {mode:#04x}")));
-            }
-        }
-    }
-    let header = link.recv()?;
-    let rest = header
-        .strip_prefix("OK snapshot ")
-        .ok_or_else(|| bad_data(format!("bad REPL SNAPSHOT response: {header:?}")))?;
-    let field = |key: &str| {
-        rest.split_whitespace()
-            .find_map(|kv| kv.strip_prefix(key))
-            .map(str::to_string)
+/// Makes a wholesale replace at `seq` durable as a new chain (see
+/// [`durable::install`]). The caller holds the store write lock, so no
+/// checkpoint can capture the new store against the old journal, and
+/// appends on a follower come from this thread only.
+fn install_durable(state: &ServerState, runtime: &ReplicaRuntime, store: &SketchStore, seq: u64) {
+    let Some(mut persist) = state.persist_guard() else {
+        // In-memory node: RAM is the only durability there is.
+        runtime.set_persisted(seq);
+        return;
     };
-    let seq: u64 = field("seq=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad_data("snapshot header missing seq"))?;
-    let len: usize = field("len=")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| bad_data("snapshot header missing len"))?;
-    let crc: u32 = field("crc32=")
-        .and_then(|v| u32::from_str_radix(&v, 16).ok())
-        .ok_or_else(|| bad_data("snapshot header missing crc32"))?;
-    let json = link.recv()?;
-    if json.len() != len || hashkit::crc32(json.as_bytes()) != crc {
-        return Err(bad_data(format!(
-            "snapshot integrity check failed (len {} vs {len}, crc mismatch)",
-            json.len()
-        )));
+    let persist = &mut *persist;
+    let snapshot = StoreSnapshot::capture(store);
+    let keep = state.config().snapshot_keep;
+    match durable::metered(|| {
+        durable::install(&snapshot, seq, &persist.dir, &mut persist.journal, keep)
+    }) {
+        Ok(()) => {
+            state.set_last_snapshot_seq(snapshot.edges_processed);
+            runtime.set_persisted(seq);
+        }
+        Err(e) => eprintln!("replication: durable install at seq {seq} failed: {e}"),
     }
-    Ok((seq, decode_snapshot_payload(json.as_bytes())?))
 }
 
-/// Decodes a shipped snapshot: the v3 store-snapshot envelope, or the
-/// JSON document that text links and older primaries send.
+/// Receives and decodes one snapshot: a single compressed
+/// `SNAPSHOT_FRAME` carrying the v3 store-snapshot envelope (whose CRCs
+/// cover the body), or a text frame carrying an `ERR` line.
+fn recv_snapshot(link: &mut PrimaryLink) -> io::Result<(u64, StoreSnapshot)> {
+    match link.recv_frame()? {
+        (codec::MODE_SNAPSHOT_FRAME, body) => {
+            let (seq, bytes) = codec::decode_snapshot_frame_body(&body).map_err(io::Error::from)?;
+            Ok((seq, decode_snapshot_payload(&bytes)?))
+        }
+        (mode, body) => Err(rejected("snapshot", mode, &body)),
+    }
+}
+
+/// Decodes a shipped snapshot: the v3 store-snapshot envelope.
 fn decode_snapshot_payload(bytes: &[u8]) -> io::Result<StoreSnapshot> {
-    if codec::is_binary(bytes) {
-        return codec::BinaryV3.decode_store_snapshot(bytes);
-    }
-    serde_json::from_slice(bytes).map_err(|e| bad_data(format!("bad snapshot JSON: {e}")))
+    codec::BinaryV3.decode_store_snapshot(bytes)
 }
 
-/// After a snapshot install moved the applied mark without journal
+/// After an anti-entropy join moved the applied mark without journal
 /// entries backing it, realign a durable node's journal to the new seq
-/// space and checkpoint immediately, so a restart recovers the
-/// snapshotted state instead of replaying a journal with a hole.
+/// space and checkpoint immediately, so a restart recovers the joined
+/// state instead of replaying a journal with a hole.
 fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64) {
     let realigned = {
         let Some(mut persist) = state.persist_guard() else {
@@ -1164,22 +1168,20 @@ fn realign_durable(state: &ServerState, runtime: &ReplicaRuntime, seq: u64) {
     }
 }
 
-/// The replica's client connection to the primary. Requests are always
-/// text lines; responses are text lines too until `HELLO v3` upgrades
-/// the link, after which they arrive as codec envelopes.
+/// The follower's connection to its primary. Requests are text lines;
+/// every response is a codec envelope, because [`PrimaryLink::connect`]
+/// upgrades the link with `HELLO v3` before anything else.
 pub(super) struct PrimaryLink {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Whether the primary agreed to v3 framed responses.
-    binary: bool,
-    /// Lines split out of the last `TEXT_FRAME`, oldest first, so the
-    /// line-oriented handshake/snapshot code works unchanged in binary
-    /// mode.
-    pending: VecDeque<String>,
 }
 
 impl PrimaryLink {
-    pub(super) fn connect(addr: &str, wire: WireFormat) -> io::Result<Self> {
+    /// Connects and upgrades the link to v3 envelopes. Any answer to
+    /// `HELLO v3` other than `OK fmt=v3` (an older primary's
+    /// `ERR unknown command`, a shed connection's `ERR busy`) fails with
+    /// `InvalidData`.
+    pub(super) fn connect(addr: &str) -> io::Result<Self> {
         let target = addr
             .to_socket_addrs()?
             .next()
@@ -1191,17 +1193,16 @@ impl PrimaryLink {
         let mut link = PrimaryLink {
             reader: BufReader::new(stream.try_clone()?),
             writer: stream,
-            binary: false,
-            pending: VecDeque::new(),
         };
-        if wire == WireFormat::BinaryV3 {
-            // Offer framed responses. The negotiation reply is always a
-            // plain text line; an old primary answers `ERR unknown
-            // command` and the link stays on text.
-            link.send("HELLO v3")?;
-            if link.recv_text_line()? == "OK fmt=v3" {
-                link.binary = true;
-            }
+        // The upgrade's own answer is still a plain text line.
+        link.send("HELLO v3")?;
+        let mut answer = String::new();
+        link.reader.read_line(&mut answer)?;
+        if answer.trim_end() != "OK fmt=v3" {
+            return Err(bad_data(format!(
+                "primary refused HELLO v3: {:?}",
+                answer.trim_end()
+            )));
         }
         Ok(link)
     }
@@ -1211,42 +1212,21 @@ impl PrimaryLink {
         self.writer.write_all(b"\n")
     }
 
+    /// Receives one text response (every request the follower sends
+    /// besides `REPL PULL` and `REPL SNAPSHOT` answers with one line).
     pub(super) fn recv(&mut self) -> io::Result<String> {
-        if !self.binary {
-            return self.recv_text_line();
-        }
-        if let Some(line) = self.pending.pop_front() {
-            return Ok(line);
-        }
-        let (mode, body) = self.recv_frame()?;
-        if mode != codec::MODE_TEXT_FRAME {
-            return Err(bad_data(format!(
+        match self.recv_frame()? {
+            (codec::MODE_TEXT_FRAME, body) => {
+                String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))
+            }
+            (mode, _) => Err(bad_data(format!(
                 "expected a text frame, got mode {mode:#04x}"
-            )));
+            ))),
         }
-        let text = String::from_utf8(body).map_err(|_| bad_data("text frame not UTF-8"))?;
-        self.pending.extend(text.split('\n').map(str::to_string));
-        self.pending
-            .pop_front()
-            .ok_or_else(|| bad_data("empty text frame"))
     }
 
     fn recv_frame(&mut self) -> io::Result<(u8, Vec<u8>)> {
         codec::read_envelope_blocking(&mut self.reader)
-    }
-
-    fn recv_text_line(&mut self) -> io::Result<String> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "primary closed the replication link",
-            ));
-        }
-        while line.ends_with('\n') || line.ends_with('\r') {
-            line.pop();
-        }
-        Ok(line)
     }
 }
 
@@ -1256,7 +1236,7 @@ pub(super) fn bad_data(msg: impl ToString) -> io::Error {
 
 /// Sleeps up to `total`, polling the shutdown flag so draining stays
 /// prompt even mid-backoff.
-pub(super) fn sleep_poll(state: &ServerState, total: Duration) {
+fn sleep_poll(state: &ServerState, total: Duration) {
     let deadline = Instant::now() + total;
     while !state.shutdown_requested() {
         let now = Instant::now();
@@ -1268,7 +1248,7 @@ pub(super) fn sleep_poll(state: &ServerState, total: Duration) {
 }
 
 /// `base` scaled to a uniform value in `[0.75 * base, 1.25 * base)`.
-pub(super) fn jittered(rng: &mut SplitMix64, base: Duration) -> Duration {
+fn jittered(rng: &mut SplitMix64, base: Duration) -> Duration {
     let nanos = base.as_nanos().min(u128::from(u64::MAX)) as u64;
     let spread = nanos / 2;
     let offset = if spread == 0 {
@@ -1284,6 +1264,10 @@ mod tests {
     use super::*;
     use crate::server::{ServerConfig, ServerState};
     use graphstream::VertexId;
+    use std::net::TcpListener;
+    use std::path::{Path, PathBuf};
+    use streamlink_core::journal::{FsyncPolicy, LineCheck};
+    use streamlink_core::{FaultPlan, WireFormat};
 
     fn primary_state() -> ServerState {
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
@@ -1298,7 +1282,14 @@ mod tests {
             ReplicaTuning::default(),
         ));
         let store = SketchStore::new(SketchConfig::with_slots(32).seed(5));
-        let state = ServerState::replica(store, ServerConfig::default(), Arc::clone(&runtime));
+        let state = ServerState::follower(
+            store,
+            None,
+            0,
+            ServerConfig::default(),
+            Arc::clone(&runtime),
+            None,
+        );
         (state, runtime)
     }
 
@@ -1413,7 +1404,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_frame_payloads_decode_in_both_formats() {
+    fn snapshot_frame_payloads_decode_as_v3() {
         let state = primary_state();
         for i in 1..=7u64 {
             state
@@ -1435,11 +1426,6 @@ mod tests {
         let shipped = payload(&frame);
         assert!(codec::is_binary(&shipped), "frame carries a v3 envelope");
         assert_eq!(decode_snapshot_payload(&shipped).unwrap(), expected);
-
-        // An older primary's frame carries the JSON document.
-        let json = serde_json::to_string(&expected).unwrap();
-        let legacy = payload(&codec::encode_snapshot_frame(7, json.as_bytes()));
-        assert_eq!(decode_snapshot_payload(&legacy).unwrap(), expected);
     }
 
     #[test]
@@ -1627,10 +1613,39 @@ mod tests {
         }
     }
 
+    /// A scripted primary on loopback: answers each request line with
+    /// `reply(line)` (raw bytes; `None` hangs up) and hands back every
+    /// line it read.
+    fn scripted_primary(
+        reply: impl Fn(&str) -> Option<Vec<u8>> + Send + 'static,
+    ) -> (String, thread::JoinHandle<Vec<String>>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let handle = thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut seen = Vec::new();
+            loop {
+                let mut line = String::new();
+                if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                    break;
+                }
+                let line = line.trim_end().to_string();
+                let answer = reply(&line);
+                seen.push(line);
+                match answer {
+                    Some(bytes) => writer.write_all(&bytes).unwrap(),
+                    None => break,
+                }
+            }
+            seen
+        });
+        (addr, handle)
+    }
+
     #[test]
     fn handshake_resets_a_replica_whose_timeline_died() {
-        use std::net::TcpListener;
-
         let (state, runtime) = replica_state();
         // The replica has applied up to seq 5 on the old timeline.
         for seq in 1..=5u64 {
@@ -1647,29 +1662,253 @@ mod tests {
         assert_eq!(runtime.applied_seq(), 5);
         assert_eq!(state.read_store().edges_processed(), 5);
 
-        // A scripted primary that restarted into a lower seq space.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let fake = thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            reader.read_line(&mut line).unwrap();
-            assert!(line.starts_with("REPL HELLO"), "{line}");
-            let mut writer = stream;
-            writer
-                .write_all(b"OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer\n")
-                .unwrap();
+        // A scripted primary that restarted into a lower seq space: one
+        // edge at seq 1. It serves one empty pull, then hangs up.
+        let mut fresh = SketchStore::new(SketchConfig::with_slots(32).seed(5));
+        fresh.insert_edge(VertexId(7), VertexId(8));
+        let snapshot = codec::BinaryV3
+            .encode_store_snapshot(&StoreSnapshot::capture(&fresh))
+            .unwrap();
+        let pulled = AtomicBool::new(false);
+        let (addr, fake) = scripted_primary(move |line| match line {
+            "HELLO v3" => Some(b"OK fmt=v3\n".to_vec()),
+            "REPL SNAPSHOT" => Some(codec::encode_snapshot_frame(1, &snapshot)),
+            l if l.starts_with("REPL HELLO") => Some(codec::encode_text_frame(
+                "OK repl hello primary_seq=1 slots=32 seed=5 backend=mixer",
+            )),
+            l if l.starts_with("REPL PULL r1 1 ") && !pulled.swap(true, Ordering::Relaxed) => {
+                Some(codec::encode_wal_batch(&[], 1))
+            }
+            _ => None,
         });
-        let mut link = PrimaryLink::connect(&addr, WireFormat::TextV2).unwrap();
-        handshake(&state, &runtime, &mut link).unwrap();
+        assert!(follow_session(&state, &runtime, None, &addr).is_err());
         fake.join().unwrap();
 
-        // Everything local was wiped: the dead timeline's seqs mean
-        // nothing, so the replica starts over from 0.
-        assert_eq!(runtime.applied_seq(), 0);
-        assert_eq!(state.read_store().edges_processed(), 0);
+        // The dead timeline's state was replaced by the primary's
+        // snapshot: the replica carries on from the snapshot's seq.
+        assert_eq!(runtime.applied_seq(), 1);
+        assert_eq!(state.read_store().edges_processed(), 1);
+        assert_eq!(state.read_store().degree(VertexId(7)), 1);
         assert_eq!(runtime.primary_seq(), 1);
+    }
+
+    #[test]
+    fn a_primary_refusing_hello_v3_fails_the_session_before_any_pull() {
+        let (state, runtime) = replica_state();
+        let (addr, fake) = scripted_primary(|_| Some(b"ERR unknown command \"HELLO\"\n".to_vec()));
+        let err = follow_session(&state, &runtime, None, &addr)
+            .err()
+            .expect("a text-only primary fails the session");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(!runtime.connected());
+        let seen = fake.join().unwrap();
+        assert_eq!(
+            seen,
+            vec!["HELLO v3".to_string()],
+            "the follower never pulls"
+        );
+    }
+
+    /// A live in-memory primary on loopback (the real `serve` loop).
+    struct LivePrimary {
+        state: Arc<ServerState>,
+        addr: String,
+        server: Option<thread::JoinHandle<io::Result<()>>>,
+    }
+
+    impl LivePrimary {
+        fn start(edges: impl IntoIterator<Item = (u64, u64)>) -> LivePrimary {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let state = Arc::new(primary_state());
+            let st = Arc::clone(&state);
+            let server = Some(thread::spawn(move || crate::server::serve(listener, &st)));
+            let primary = LivePrimary {
+                state,
+                addr,
+                server,
+            };
+            primary.insert(edges);
+            primary
+        }
+
+        fn insert(&self, edges: impl IntoIterator<Item = (u64, u64)>) {
+            for (u, v) in edges {
+                self.state.insert_edge(VertexId(u), VertexId(v)).unwrap();
+            }
+        }
+
+        fn snapshot(&self) -> StoreSnapshot {
+            StoreSnapshot::capture(&self.state.read_store())
+        }
+    }
+
+    impl Drop for LivePrimary {
+        fn drop(&mut self) {
+            self.state.request_shutdown();
+            if let Some(server) = self.server.take() {
+                let _ = server.join();
+            }
+        }
+    }
+
+    fn new_edges(seqs: std::ops::RangeInclusive<u64>) -> Vec<(u64, u64)> {
+        seqs.map(|i| (i % 3 + 1, 500 + i)).collect()
+    }
+
+    /// A durable classic follower over a fresh data dir, opened as
+    /// `serve --replicate-from --data-dir` opens it, that has applied
+    /// seqs 1..=5 of a timeline whose primary since restarted (vertices
+    /// 1000+).
+    fn dead_timeline_follower(
+        tag: &str,
+        primary: &str,
+        faults: Option<Arc<FaultPlan>>,
+    ) -> (ServerState, Arc<ReplicaRuntime>, PathBuf) {
+        let dir = std::env::temp_dir().join(format!(
+            "streamlink-replication-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = SketchConfig::with_slots(32).seed(5);
+        let (persist, recovery) = persistence::open_with_faults(
+            &dir,
+            cfg,
+            FsyncPolicy::Never,
+            WireFormat::BinaryV3,
+            faults,
+        )
+        .unwrap();
+        let tuning = ReplicaTuning {
+            poll_interval: Duration::from_millis(5),
+            ..ReplicaTuning::default()
+        };
+        let runtime = Arc::new(ReplicaRuntime::new(
+            primary.into(),
+            "r1".into(),
+            100_000,
+            tuning,
+        ));
+        runtime.seed_applied(recovery.next_seq() - 1);
+        let state = ServerState::follower(
+            recovery.store,
+            Some(persist),
+            recovery.snapshot_seq,
+            ServerConfig::default(),
+            Arc::clone(&runtime),
+            None,
+        );
+        for seq in 1..=5u64 {
+            let (u, v) = (VertexId(1000 + seq), VertexId(2000 + seq));
+            apply_entry(&state, &runtime, JournalEntry { seq, u, v });
+        }
+        (state, runtime, dir)
+    }
+
+    /// What a restart of the follower over `dir` would serve.
+    fn recovered(dir: &Path) -> StoreSnapshot {
+        let cfg = SketchConfig::with_slots(32).seed(5);
+        StoreSnapshot::capture(&durable::recover(dir, cfg).unwrap().store)
+    }
+
+    fn wait_applied(runtime: &ReplicaRuntime, seq: u64) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while runtime.applied_seq() != seq {
+            assert!(
+                Instant::now() < deadline,
+                "applied_seq stuck at {}",
+                runtime.applied_seq()
+            );
+            thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    #[test]
+    fn durable_resync_after_a_primary_restart_recovers_only_the_new_timeline() {
+        let primary = LivePrimary::start(new_edges(1..=1));
+        let (state, runtime, dir) = dead_timeline_follower("resync-restart", &primary.addr, None);
+        thread::scope(|scope| {
+            let session = scope.spawn(|| follow_session(&state, &runtime, None, &primary.addr));
+            wait_applied(&runtime, 1);
+            primary.insert(new_edges(2..=8));
+            wait_applied(&runtime, 8);
+            state.request_shutdown();
+            assert!(matches!(session.join().unwrap(), Ok(SessionEnd::Shutdown)));
+        });
+        let served = StoreSnapshot::capture(&state.read_store());
+        assert_eq!(served, primary.snapshot());
+        drop(state);
+        assert_eq!(
+            recovered(&dir),
+            served,
+            "a restart serves the dead timeline"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_resync_quarantines_older_generations_of_the_dead_timeline() {
+        let primary = LivePrimary::start(new_edges(1..=1));
+        let (state, runtime, dir) =
+            dead_timeline_follower("resync-generations", &primary.addr, None);
+        persistence::checkpoint_now(&state).unwrap();
+        let mut link = PrimaryLink::connect(&primary.addr).unwrap();
+        snapshot_round_with(&state, &runtime, &mut link, true).unwrap();
+        let generations: Vec<u64> = durable::list_generations(&dir)
+            .unwrap()
+            .iter()
+            .map(|g| g.0)
+            .collect();
+        assert_eq!(generations, vec![1]);
+        let served = StoreSnapshot::capture(&state.read_store());
+        drop(state);
+        assert_eq!(recovered(&dir), served);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_resync_at_the_journal_position_still_replaces_the_chain() {
+        // The install lands exactly at the journal's next seq, so no
+        // rotation is needed to line seqs up, yet the chain must go.
+        let primary = LivePrimary::start(new_edges(1..=5));
+        let (state, runtime, dir) = dead_timeline_follower("resync-same-seq", &primary.addr, None);
+        let mut link = PrimaryLink::connect(&primary.addr).unwrap();
+        snapshot_round_with(&state, &runtime, &mut link, true).unwrap();
+        let served = StoreSnapshot::capture(&state.read_store());
+        assert_eq!(served, primary.snapshot());
+        drop(state);
+        assert_eq!(recovered(&dir), served);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn durable_resync_whose_checkpoint_fails_recovers_no_dead_edge() {
+        let plan = Arc::new(FaultPlan::new());
+        plan.fail_snapshot(0);
+        let primary = LivePrimary::start(new_edges(1..=1));
+        let (state, runtime, dir) =
+            dead_timeline_follower("resync-fault", &primary.addr, Some(plan));
+        let mut link = PrimaryLink::connect(&primary.addr).unwrap();
+        snapshot_round_with(&state, &runtime, &mut link, true).unwrap();
+        primary.insert(new_edges(2..=3));
+        pull_once(&state, &runtime, &mut link).unwrap();
+        assert_eq!(runtime.applied_seq(), 3);
+        drop(state);
+        let cfg = SketchConfig::with_slots(32).seed(5);
+        let rec = durable::recover(&dir, cfg).unwrap();
+        for seq in 1..=5u64 {
+            assert_eq!(
+                rec.store.degree(VertexId(1000 + seq)),
+                0,
+                "dead edge {seq} came back"
+            );
+        }
+        assert_eq!(
+            rec.store.edges_processed(),
+            2,
+            "only the journaled new-timeline tail"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

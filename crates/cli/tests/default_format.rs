@@ -9,27 +9,18 @@
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+mod common;
+use common::temp_dir;
 
 use graphstream::VertexId;
 use streamlink_core::{durable, journal, SketchConfig, SketchStore};
 
 const SLOTS: &str = "64";
 const SEED: &str = "42";
-
-fn temp_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!(
-        "streamlink-default-{}-{tag}-{n}",
-        std::process::id()
-    ));
-    fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// A durable `streamlink serve` child with no `--format` flag.
 struct Server {

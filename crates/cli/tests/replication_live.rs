@@ -264,3 +264,103 @@ fn sigkilled_replica_rejoins_and_reconverges() {
         field(&status, "replicas_connected") == 2 && field(&status, "max_lag_edges") == 0
     });
 }
+
+/// The second timeline's edges: the same vertices as [`edges`], other
+/// neighbours, so a store mixing both timelines answers differently.
+fn new_timeline_edges(n: u64) -> Vec<(u64, u64)> {
+    let mut out = Vec::new();
+    for w in 0..n {
+        out.push((1, 300 + w % 11));
+        out.push((2, 300 + w % 7));
+        out.push((w % 4 + 3, 400 + w));
+    }
+    out
+}
+
+#[test]
+fn durable_replica_survives_a_primary_restart_and_its_own_sigkill() {
+    let mut primary = Server::primary();
+    let addr = primary.addr.clone();
+    let dir = std::env::temp_dir().join(format!(
+        "streamlink-replication-live-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let data_dir = dir.to_str().expect("utf-8 temp path").to_string();
+    let durable_replica = || {
+        Server::start(
+            &[
+                "--replicate-from",
+                &addr,
+                "--repl-id",
+                "rd",
+                "--repl-poll-ms",
+                "20",
+                "--repl-anti-entropy-secs",
+                "1",
+                "--data-dir",
+                &data_dir,
+            ],
+            true,
+        )
+    };
+    let mut replica = durable_replica();
+
+    let dead = edges(40);
+    let mut feed = primary.connect();
+    for &(u, v) in &dead {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    wait_applied(
+        &replica,
+        dead.len() as u64,
+        "replica to follow the first timeline",
+    );
+
+    // The in-memory primary dies and comes back empty on the same
+    // address: a new timeline whose seqs start over below the replica's.
+    primary.kill();
+    let primary = Server::start(&["--addr", &addr], false);
+    let mut feed = primary.connect();
+    let live = new_timeline_edges(60);
+    let (early, late) = live.split_at(30);
+    for &(u, v) in early {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    wait_applied(
+        &replica,
+        early.len() as u64,
+        "replica to drop the dead timeline",
+    );
+    assert_eq!(answers(&mut replica.connect()), answers(&mut feed));
+
+    // The new timeline overtakes the dead one's seqs, then the replica
+    // is SIGKILLed and restarts from its own data dir.
+    for &(u, v) in late {
+        assert_eq!(feed.ask(&format!("INSERT {u} {v}")), "OK inserted");
+    }
+    let want = live.len() as u64;
+    assert!(want > dead.len() as u64);
+    wait_applied(&replica, want, "replica to follow the new timeline");
+    replica.kill();
+    let replica = durable_replica();
+    wait_applied(
+        &replica,
+        want,
+        "restarted replica to recover its applied seq",
+    );
+    let mut r = replica.connect();
+    assert_eq!(
+        answers(&mut r),
+        answers(&mut feed),
+        "restart served a dead edge"
+    );
+    let edges_of = |status: String| {
+        status
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("edges=").map(str::to_string))
+    };
+    assert_eq!(edges_of(r.ask("STATS")), edges_of(feed.ask("STATS")));
+    drop(replica);
+    let _ = std::fs::remove_dir_all(&dir);
+}

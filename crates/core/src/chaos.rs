@@ -393,18 +393,8 @@ pub fn append_garbage(path: &Path, garbage: &[u8]) -> io::Result<()> {
 mod tests {
     use super::*;
     use crate::journal::{self, FsyncPolicy, Journal, JournalEntry};
+    use crate::test_support::temp_dir;
     use graphstream::VertexId;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("streamlink-chaos-{}-{tag}-{n}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     #[test]
     fn chaos_writer_fails_after_budget_with_partial_prefix() {

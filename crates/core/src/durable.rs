@@ -32,6 +32,11 @@
 //! dies between the steps, recovery merely replays entries the snapshot
 //! already covers — [`crate::journal::replay`] skips them by sequence
 //! number.
+//!
+//! [`install`] replaces the whole chain instead, for a follower that
+//! took a snapshot from another timeline: the old generations and
+//! segments move into `quarantine/` behind a [`RETIRE_MARKER`] that
+//! [`recover`] honours, so a restart never mixes two timelines.
 
 use std::fs;
 use std::io;
@@ -46,6 +51,12 @@ use crate::store::SketchStore;
 
 /// How many snapshot generations a checkpoint retains by default.
 pub const DEFAULT_SNAPSHOT_KEEP: usize = 3;
+
+/// The file [`install`] keeps in a data directory while it retires the
+/// old chain. [`recover`] finishes an interrupted retirement before it
+/// loads anything, so a crash mid-install recovers an empty store rather
+/// than part of a dead chain.
+pub const RETIRE_MARKER: &str = "retire.pending";
 
 /// The legacy (pre-generation) snapshot file inside a data directory.
 #[must_use]
@@ -142,6 +153,11 @@ impl Recovery {
 /// and reported in the returned [`Recovery`].
 pub fn recover(dir: &Path, config: SketchConfig) -> io::Result<Recovery> {
     let metrics = crate::metrics::global();
+    let marker = dir.join(RETIRE_MARKER);
+    if marker.exists() {
+        retire_chain(dir)?;
+        fs::remove_file(&marker)?;
+    }
     let mut fallbacks = 0u64;
     let mut loaded: Option<(StoreSnapshot, u64)> = None;
 
@@ -298,26 +314,74 @@ pub fn write_generation(
     Ok(generations.first().map_or(wal_seq, |(seq, _)| *seq))
 }
 
+/// Replaces the whole chain in `dir` with `snapshot` as the generation
+/// covering seq `seq`: how a follower makes a store installed from
+/// another timeline durable. Under a [`RETIRE_MARKER`], every generation
+/// and WAL segment already in `dir` moves into `quarantine/` and
+/// `journal` reopens a fresh segment at `seq + 1`; then the marker goes
+/// and the new generation is written.
+///
+/// A restart at any point recovers one timeline only: the old chain
+/// (before the marker lands), an empty store (until the generation is
+/// written), or the installed store. Callers hold off appends until
+/// this returns.
+///
+/// # Errors
+/// Fails on IO errors, real or injected via the journal's
+/// [`crate::chaos::FaultPlan`]. A failed generation write leaves the
+/// old chain retired and the fresh segment open.
+pub fn install(
+    snapshot: &StoreSnapshot,
+    seq: u64,
+    dir: &Path,
+    journal: &mut Journal,
+    keep: usize,
+) -> io::Result<()> {
+    let marker = dir.join(RETIRE_MARKER);
+    fs::File::create(&marker)?.sync_all()?;
+    sync_dir(dir);
+    retire_chain(dir)?;
+    journal.rotate(seq + 1)?;
+    fs::remove_file(&marker)?;
+    let faults = journal.faults().map(|plan| &**plan);
+    write_generation(snapshot, seq, dir, journal.format(), faults, keep)?;
+    Ok(())
+}
+
+/// Moves every snapshot generation, the legacy `snapshot.json` and every
+/// WAL segment in `dir` into `quarantine/`.
+fn retire_chain(dir: &Path) -> io::Result<()> {
+    let mut dead: Vec<PathBuf> = list_generations(dir)?.into_iter().map(|(_, p)| p).collect();
+    dead.extend(journal::list_segments(dir)?.into_iter().map(|(_, p)| p));
+    dead.push(snapshot_path(dir));
+    for path in dead.iter().filter(|p| p.exists()) {
+        if !journal::quarantine_file(dir, path) {
+            return Err(io::Error::other(format!(
+                "cannot quarantine {}",
+                path.display()
+            )));
+        }
+    }
+    sync_dir(dir);
+    Ok(())
+}
+
+/// Persists renames and creations in `dir`, best-effort: directory
+/// fsync is unsupported on some filesystems.
+fn sync_dir(dir: &Path) {
+    if let Ok(handle) = fs::File::open(dir) {
+        let _ = handle.sync_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chaos;
     use crate::journal::{FsyncPolicy, JournalEntry, QUARANTINE_DIR};
+    use crate::test_support::temp_dir;
     use graphstream::{BarabasiAlbert, EdgeStream, VertexId};
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "streamlink-durable-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn cfg() -> SketchConfig {
         SketchConfig::with_slots(32).seed(9)
@@ -344,6 +408,59 @@ mod tests {
         let wal_seq = journal.next_seq() - 1;
         journal.rotate(wal_seq + 1).unwrap();
         checkpoint(&snap, wal_seq, dir, journal, keep).unwrap();
+    }
+
+    #[test]
+    fn install_replaces_the_chain_and_an_interrupted_install_recovers_empty() {
+        let dir = temp_dir("install");
+        let mut store = SketchStore::new(cfg());
+        let mut journal = Journal::create(&dir, 1, FsyncPolicy::OnRotate).unwrap();
+        for i in 1..=6 {
+            ingest(&mut store, &mut journal, i, 100 + i);
+        }
+        run_checkpoint(&store, &dir, &mut journal, DEFAULT_SNAPSHOT_KEEP);
+        for i in 7..=9 {
+            ingest(&mut store, &mut journal, i, 100 + i);
+        }
+
+        // Another timeline's store at seq 2 replaces the chain; appends
+        // continue from seq 3 in a fresh segment.
+        let mut other = SketchStore::new(cfg());
+        other.insert_edge(VertexId(50), VertexId(51));
+        other.insert_edge(VertexId(52), VertexId(53));
+        install(
+            &StoreSnapshot::capture(&other),
+            2,
+            &dir,
+            &mut journal,
+            DEFAULT_SNAPSHOT_KEEP,
+        )
+        .unwrap();
+        ingest(&mut other, &mut journal, 54, 55);
+        drop(journal);
+        let seqs: Vec<u64> = list_generations(&dir)
+            .unwrap()
+            .iter()
+            .map(|g| g.0)
+            .collect();
+        assert_eq!(seqs, vec![2]);
+        assert!(dir.join(QUARANTINE_DIR).join("snapshot.6.json").exists());
+        assert!(dir.join(QUARANTINE_DIR).join("wal.7.log").exists());
+        let rec = recover(&dir, cfg()).unwrap();
+        assert_eq!(
+            StoreSnapshot::capture(&rec.store),
+            StoreSnapshot::capture(&other)
+        );
+        assert_eq!(rec.next_seq(), 4);
+
+        // A crash while the marker is down finishes the retirement: the
+        // restart recovers empty, never part of the chain.
+        fs::write(dir.join(RETIRE_MARKER), b"").unwrap();
+        let rec = recover(&dir, cfg()).unwrap();
+        assert_eq!(rec.store.edges_processed(), 0);
+        assert!(!dir.join(RETIRE_MARKER).exists());
+        assert!(list_generations(&dir).unwrap().is_empty());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -819,18 +819,7 @@ pub fn read_entries_after(dir: &Path, after_seq: u64, max: usize) -> io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "streamlink-journal-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
+    use crate::test_support::temp_dir;
 
     fn entry(seq: u64) -> JournalEntry {
         JournalEntry {

@@ -153,3 +153,20 @@ pub use repl::{ApplyOutcome, PullOutcome, ReplLog, ReplicaApplier};
 pub use robust::RobustStore;
 pub use store::SketchStore;
 pub use windowed::WindowedStore;
+
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fresh directory under the system temp dir, unique per process,
+    /// tag and call.
+    pub(crate) fn temp_dir(tag: &str) -> PathBuf {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("streamlink-core-{}-{tag}-{n}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+}
